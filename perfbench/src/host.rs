@@ -1,6 +1,6 @@
 //! The host fingerprint printed beside every result, and peak memory.
 
-use std::fmt::Write as _;
+use pdr_sim_core::json::{Json, ToJson};
 
 use crate::workloads::{ENGINE, FLEET_THREADS};
 
@@ -44,38 +44,16 @@ impl Fingerprint {
     }
 
     /// The fingerprint as a JSON object.
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"cores\":{},\"cpu_model\":{},\"rustc\":{},\"profile\":{},\"engine\":{},\"fleet_threads\":{}}}",
-            self.cores,
-            json_str(&self.cpu_model),
-            json_str(self.rustc),
-            json_str(self.profile),
-            json_str(&self.engine),
-            self.fleet_threads
-        );
-        s
+    pub fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("cores".into(), self.cores.to_json()),
+            ("cpu_model".into(), self.cpu_model.to_json()),
+            ("rustc".into(), self.rustc.to_json()),
+            ("profile".into(), self.profile.to_json()),
+            ("engine".into(), self.engine.to_json()),
+            ("fleet_threads".into(), self.fleet_threads.to_json()),
+        ])
     }
-}
-
-/// `s` as a JSON string literal.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Peak resident memory of this process, MB (10⁶ bytes), from the
@@ -85,14 +63,4 @@ pub fn peak_rss_mb() -> Option<f64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: f64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024.0 / 1e6)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_strings_are_escaped() {
-        assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\u000a\"");
-    }
 }

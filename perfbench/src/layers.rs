@@ -10,11 +10,11 @@ use std::time::{Duration, Instant};
 use pdr_bitstream::{Action, Bitstream, Crc32, Parser};
 use pdr_bitstream_codec::{compress_bitstream, decompress};
 use pdr_core::{Calibration, FleetConfig};
-use pdr_sim_core::{Component, Engine, Frequency, SimDuration};
+use pdr_sim_core::{Component, Engine, EngineStrategy, Frequency, SimDuration};
 
 use crate::spans::Spans;
 use crate::stats::median;
-use crate::workloads::{Checks, ENGINE};
+use crate::workloads::Checks;
 
 /// Host time each layer is timed for, at least.
 const LAYER_BUDGET: Duration = Duration::from_millis(250);
@@ -53,12 +53,12 @@ impl Component for Idle {
     }
 }
 
-/// Host ns per dispatched action of an engine whose one clock domain
-/// drives a do-nothing component: what the kernel costs before any
+/// Host ns per dispatched action of a tick-kernel engine whose one clock
+/// domain drives a do-nothing component: what the kernel costs before any
 /// component does work.
 pub fn engine_baseline_ns_per_action(spans: &mut Spans, checks: &mut Checks) -> f64 {
     timed_reps(spans, "sim_core.engine.baseline", LAYER_BUDGET, || {
-        let mut engine = Engine::with_strategy(ENGINE);
+        let mut engine = Engine::with_strategy(EngineStrategy::Tick);
         let clk = engine.add_clock_domain("clk", Frequency::from_mhz(100));
         engine.add_component(Idle, Some(clk));
         let t = Instant::now();

@@ -22,8 +22,10 @@
 //! Each figure is either **host** time, what the simulator costs to run,
 //! or **simulated**, what the modelled Zynq would do. Simulated figures are
 //! deterministic for a seed and guard correctness; host figures are what
-//! optimisations move. Host times of the passes are reported as their
-//! floor (see [`Floor`]).
+//! optimisations move. Whole-pass host figures are medians over passes of
+//! each pass's own figure, and operation percentiles are over every timed
+//! operation of the run, so no figure depends on how many passes fit in
+//! `--seconds`.
 
 mod host;
 mod layers;
@@ -31,12 +33,13 @@ mod spans;
 mod stats;
 mod workloads;
 
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-use host::{json_str, peak_rss_mb, Fingerprint};
+use host::{peak_rss_mb, Fingerprint};
+use pdr_sim_core::json::{Json, ToJson};
+use pdr_sim_core::EngineStrategy;
 use spans::Spans;
 use stats::{median, percentile, valid_metric_name};
 use workloads::{Checks, Kind, Pass, Scale, Workload};
@@ -112,6 +115,27 @@ struct Metric {
     samples: usize,
 }
 
+impl Metric {
+    /// `{"value": .., "unit": ..}`, as the result line carries it.
+    fn value_json(&self) -> Json {
+        Json::Obj(vec![
+            ("value".into(), self.value.to_json()),
+            ("unit".into(), self.unit.to_json()),
+        ])
+    }
+
+    /// Every field, as the results file carries it.
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            ("name".into(), self.name.to_json()),
+            ("value".into(), self.value.to_json()),
+            ("unit".into(), self.unit.to_json()),
+            ("domain".into(), self.domain.to_json()),
+            ("samples".into(), self.samples.to_json()),
+        ])
+    }
+}
+
 fn host(name: &'static str, value: f64, unit: &'static str, samples: usize) -> Metric {
     Metric {
         name,
@@ -173,63 +197,44 @@ fn layer_value(p: &Pass, name: &str) -> Option<f64> {
     p.layer.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
 }
 
-/// The least-disturbed cost of a set of passes. Every pass repeats
-/// identical, deterministic work, so the spread between passes is host
-/// interference and allocator state (the `fault_soak` set-up alternates
-/// between two modes with it), which only ever add time: each part's
-/// minimum across passes is the closest estimate of its undisturbed cost.
-struct Floor {
-    /// Each timed operation's minimum, ms, in pass order.
-    op_ms: Vec<f64>,
-    /// Minimum set-up, s.
-    setup_s: f64,
-    /// Minimum of the rest of a pass (finishing reports), s.
-    rest_s: f64,
-}
-
-impl Floor {
-    fn of(passes: &[Pass]) -> Floor {
-        let min = |f: &dyn Fn(&Pass) -> f64| passes.iter().map(f).fold(f64::INFINITY, f64::min);
-        let ops = passes.iter().map(|p| p.op_ms.len()).min().unwrap_or(0);
-        Floor {
-            op_ms: (0..ops).map(|i| min(&|p| p.op_ms[i])).collect(),
-            setup_s: min(&|p| p.setup_s),
-            rest_s: min(&|p| p.wall_s - p.setup_s - p.ops_s),
-        }
-    }
-
-    /// Host time of the timed operations, s.
-    fn ops_s(&self) -> f64 {
-        self.op_ms.iter().sum::<f64>() / 1e3
-    }
-
-    /// Host time of a whole pass, s.
-    fn wall_s(&self) -> f64 {
-        self.setup_s + self.ops_s() + self.rest_s
+/// Host time per unit of simulated work in one pass's timed operations:
+/// `unit` times seconds per unit of `work`, 0 when the pass did none.
+fn host_per(p: &Pass, unit: f64, work: f64) -> f64 {
+    if work > 0.0 {
+        p.ops_s * unit / work
+    } else {
+        0.0
     }
 }
 
 /// The end-to-end figures of the untraced passes. The first six are the
 /// ones every workload puts on its result line; the rest exist only on
 /// some workloads and are printed and saved.
+///
+/// Whole-pass figures are medians over passes. The operation percentiles
+/// are taken over every operation of every pass: a `fault_soak` pass's own
+/// p90 falls on the edge between its two clusters of step costs (near 30
+/// and 45 ms) and flips between them from pass to pass.
 fn end_to_end(kind: Kind, passes: &[Pass], peak_rss_mb: f64) -> Vec<Metric> {
     let n = passes.len();
-    let floor = Floor::of(passes);
-    let op = |q| percentile(&floor.op_ms, q).expect("every pass times operations");
+    let op_ms: Vec<f64> = passes
+        .iter()
+        .flat_map(|p| p.op_ms.iter().copied())
+        .collect();
+    let op = |q| percentile(&op_ms, q).expect("every pass times operations");
     let (p50, p90) = (op(0.5), op(0.9));
-    let first = &passes[0];
     let mut checks = Checks::default();
     for p in passes {
         checks.add(p.checks);
     }
     let mut m = vec![
-        host("wall_s", floor.wall_s(), "s", n),
-        host("setup_s", floor.setup_s, "s", n),
+        host("wall_s", median_of(passes, |p| Some(p.wall_s)), "s", n),
+        host("setup_s", median_of(passes, |p| Some(p.setup_s)), "s", n),
         host("op_ms_p50", p50.value, "ms", p50.count),
         host("op_ms_p90", p90.value, "ms", p90.count),
         host(
             "requests_per_host_s",
-            first.requests as f64 / floor.ops_s(),
+            median_of(passes, |p| Some(p.requests as f64 / p.ops_s)),
             "1/s",
             n,
         ),
@@ -245,7 +250,7 @@ fn end_to_end(kind: Kind, passes: &[Pass], peak_rss_mb: f64) -> Vec<Metric> {
     if kind != Kind::Fleet1m {
         m.push(host(
             "sim_mb_per_host_s",
-            first.sim_bytes as f64 / 1e6 / floor.ops_s(),
+            median_of(passes, |p| Some(p.sim_bytes as f64 / 1e6 / p.ops_s)),
             "MB/s",
             n,
         ));
@@ -274,7 +279,7 @@ const RESULT_END_TO_END: [&str; 6] = [
 
 /// The per-layer figures of a traced run. Every workload reports every
 /// name; a layer the workload does not reach reads 0.
-fn per_layer(workload: &Workload, spans: &mut Spans, run: &mut Run) -> Vec<Metric> {
+fn per_layer(workload: &mut Workload, spans: &mut Spans, run: &mut Run) -> Vec<Metric> {
     // Layer timings the passes cannot separate, recorded as spans too.
     let bitstreams = workload.bitstreams();
     let checks = &mut run.checks;
@@ -285,22 +290,28 @@ fn per_layer(workload: &Workload, spans: &mut Spans, run: &mut Run) -> Vec<Metri
     let calibrate = workload
         .fleet_config()
         .map_or(0.0, |cfg| layers::fleet_calibrate_ms(spans, checks, cfg));
+    let kind = workload.kind();
+    // The kernel's cost per action, comparable with the idle baseline: on
+    // the pinned event-skipping kernel `actions` also counts the quiescent
+    // edges it folds at almost no cost, so one untraced pass runs on the
+    // tick kernel, which dispatches every action. Its outputs are checked
+    // against the pinned kernel's like any other pass.
+    let ns_per_action = if kind == Kind::Fleet1m {
+        0.0
+    } else {
+        spans.set_enabled(false);
+        workload.set_strategy(EngineStrategy::Tick);
+        let tick = workload.pass(spans);
+        workload.set_strategy(workloads::ENGINE);
+        spans.set_enabled(true);
+        checks.add(tick.checks);
+        let actions = layer_value(&tick, "sim_core.engine.actions").unwrap_or(0.0);
+        host_per(&tick, 1e9, actions)
+    };
 
     let spans = &*spans;
     let traced = &run.traced;
     let n = traced.len();
-    let floor = Floor::of(traced);
-    let kind = workload.kind();
-    // Host time per unit of simulated work, over the traced passes' floor.
-    let per = |unit: f64, work: f64| {
-        if work > 0.0 {
-            floor.ops_s() * unit / work
-        } else {
-            0.0
-        }
-    };
-    let sim_bytes = traced[0].sim_bytes as f64;
-    let requests = traced[0].requests as f64;
     let counter = |name: &str| median_of(traced, |p| layer_value(p, name));
     let span_pct = |name: &str, q: f64| {
         percentile(&spans.durations_ms(name), q).map_or((0.0, 0), |p| (p.value, p.count))
@@ -310,16 +321,18 @@ fn per_layer(workload: &Workload, spans: &mut Spans, run: &mut Run) -> Vec<Metri
         (median(&d).unwrap_or(0.0), d.len())
     };
 
-    let actions = counter("sim_core.engine.actions");
-    let ns_per_action = per(1e9, actions);
     let mut m = vec![
-        simulated("sim_core.engine.actions", actions, "count"),
+        simulated(
+            "sim_core.engine.actions",
+            counter("sim_core.engine.actions"),
+            "count",
+        ),
         simulated(
             "sim_core.engine.actions_per_sim_us",
             counter("sim_core.engine.actions_per_sim_us"),
             "1/us",
         ),
-        host("sim_core.engine.ns_per_action", ns_per_action, "ns", n),
+        host("sim_core.engine.ns_per_action", ns_per_action, "ns", 1),
         host("sim_core.engine.baseline_ns_per_action", baseline, "ns", 1),
         host(
             "sim_core.engine.component_ns_per_action",
@@ -329,7 +342,7 @@ fn per_layer(workload: &Workload, spans: &mut Spans, run: &mut Run) -> Vec<Metri
                 0.0
             },
             "ns",
-            n,
+            1,
         ),
     ];
 
@@ -345,7 +358,7 @@ fn per_layer(workload: &Workload, spans: &mut Spans, run: &mut Run) -> Vec<Metri
         host(
             "pdr.system.reconfigure.host_ms_per_sim_mb",
             if kind == Kind::Table1Sweep {
-                per(1e3, sim_bytes / 1e6)
+                median_of(traced, |p| Some(host_per(p, 1e3, p.sim_bytes as f64 / 1e6)))
             } else {
                 0.0
             },
@@ -427,7 +440,7 @@ fn per_layer(workload: &Workload, spans: &mut Spans, run: &mut Run) -> Vec<Metri
         host(
             "pdr.fleet.ns_per_request",
             if kind == Kind::Fleet1m {
-                per(1e9, requests)
+                median_of(traced, |p| Some(host_per(p, 1e9, p.requests as f64)))
             } else {
                 0.0
             },
@@ -445,7 +458,9 @@ fn per_layer(workload: &Workload, spans: &mut Spans, run: &mut Run) -> Vec<Metri
 
     m.push(host(
         "trace.overhead_pct",
-        (floor.wall_s() / Floor::of(&run.untraced).wall_s() - 1.0) * 100.0,
+        (median_of(traced, |p| Some(p.wall_s)) / median_of(&run.untraced, |p| Some(p.wall_s))
+            - 1.0)
+            * 100.0,
         "%",
         n,
     ));
@@ -483,31 +498,22 @@ fn run_passes(workload: &mut Workload, spans: &mut Spans, seconds: u64, trace: b
     }
 }
 
-fn metrics_json(metrics: &[Metric]) -> String {
-    let mut s = String::from("{");
-    for (i, m) in metrics.iter().enumerate() {
-        debug_assert!(valid_metric_name(m.name), "{}", m.name);
-        let sep = if i == 0 { "" } else { ", " };
-        let _ = write!(
-            s,
-            "{sep}\"{}\": {{\"value\": {}, \"unit\": {}}}",
-            m.name,
-            json_number(m.value),
-            json_str(m.unit)
-        );
-    }
-    s.push('}');
-    s
-}
-
-/// A finite number as JSON; non-finite values, which JSON cannot carry,
-/// become `null`.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
+/// The result line: the checks and the metrics by name.
+fn result_line(checks: Checks, metrics: &[Metric]) -> String {
+    let by_name = metrics
+        .iter()
+        .map(|m| {
+            debug_assert!(valid_metric_name(m.name), "{}", m.name);
+            (m.name.to_string(), m.value_json())
+        })
+        .collect();
+    Json::Obj(vec![
+        ("correct".into(), Json::Bool(checks.failed == 0)),
+        ("attempted".into(), checks.attempted.to_json()),
+        ("failed".into(), checks.failed.to_json()),
+        ("metrics".into(), Json::Obj(by_name)),
+    ])
+    .render()
 }
 
 /// The detailed results file: fingerprint, every figure with its domain
@@ -521,60 +527,44 @@ fn results_json(
     passes: &[Pass],
     spans: Option<&Spans>,
 ) -> String {
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "{{\"workload\":{},\"seed\":{},\"seconds\":{},\"trace\":{},\"host\":{},\"metrics\":[",
-        json_str(kind.name()),
-        args.seed,
-        args.seconds,
-        u8::from(args.trace),
-        fp.to_json()
-    );
-    for (i, m) in metrics.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            s,
-            "{sep}{{\"name\":{},\"value\":{},\"unit\":{},\"domain\":{},\"samples\":{}}}",
-            json_str(m.name),
-            json_number(m.value),
-            json_str(m.unit),
-            json_str(m.domain),
-            m.samples
-        );
-    }
-    s.push_str("],\"passes\":[");
-    for (i, p) in passes.iter().enumerate() {
-        let sep = if i == 0 { "" } else { "," };
-        let _ = write!(
-            s,
-            "{sep}{{\"setup_s\":{},\"wall_s\":{},\"ops_s\":{},\"op_ms\":[{}]}}",
-            p.setup_s,
-            p.wall_s,
-            p.ops_s,
-            p.op_ms
-                .iter()
-                .map(f64::to_string)
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-    }
-    s.push(']');
+    let pass = |p: &Pass| {
+        Json::Obj(vec![
+            ("setup_s".into(), p.setup_s.to_json()),
+            ("wall_s".into(), p.wall_s.to_json()),
+            ("ops_s".into(), p.ops_s.to_json()),
+            ("op_ms".into(), p.op_ms.to_json()),
+        ])
+    };
+    let mut fields = vec![
+        ("workload".into(), kind.name().to_json()),
+        ("seed".into(), args.seed.to_json()),
+        ("seconds".into(), args.seconds.to_json()),
+        ("trace".into(), Json::Bool(args.trace)),
+        ("host".into(), fp.to_json()),
+        (
+            "metrics".into(),
+            Json::Arr(metrics.iter().map(Metric::to_json).collect()),
+        ),
+        (
+            "passes".into(),
+            Json::Arr(passes.iter().map(pass).collect()),
+        ),
+    ];
     if let Some(spans) = spans {
-        s.push_str(",\"self_time\":[");
-        for (i, (name, (count, self_ns))) in spans.self_by_name().into_iter().enumerate() {
-            let sep = if i == 0 { "" } else { "," };
-            let _ = write!(
-                s,
-                "{sep}{{\"span\":{},\"count\":{count},\"self_ms\":{}}}",
-                json_str(name),
-                self_ns as f64 / 1e6
-            );
-        }
-        s.push(']');
+        let self_time = spans
+            .self_by_name()
+            .into_iter()
+            .map(|(name, (count, self_ns))| {
+                Json::Obj(vec![
+                    ("span".into(), name.to_json()),
+                    ("count".into(), count.to_json()),
+                    ("self_ms".into(), (self_ns as f64 / 1e6).to_json()),
+                ])
+            })
+            .collect();
+        fields.push(("self_time".into(), Json::Arr(self_time)));
     }
-    s.push_str("}\n");
-    s
+    Json::Obj(fields).render() + "\n"
 }
 
 fn write_file(dir: &Path, name: &str, contents: &str) -> Result<(), String> {
@@ -592,7 +582,7 @@ fn run_workload(kind: Kind, args: &Args, fp: &Fingerprint) -> Result<bool, Strin
     let stem = format!("{}-seed{}", kind.name(), args.seed);
     let (metrics, result): (Vec<Metric>, Vec<Metric>) = if args.trace {
         spans.set_enabled(true);
-        let m = per_layer(&workload, &mut spans, &mut run);
+        let m = per_layer(&mut workload, &mut spans, &mut run);
         write_file(&args.out, &format!("{stem}.spans.jsonl"), &spans.to_jsonl())?;
         write_file(
             &args.out,
@@ -626,7 +616,7 @@ fn run_workload(kind: Kind, args: &Args, fp: &Fingerprint) -> Result<bool, Strin
         u8::from(args.trace),
         run.untraced.len(),
         run.traced.len(),
-        fp.to_json()
+        fp.to_json().render()
     );
     for m in &metrics {
         println!(
@@ -638,13 +628,9 @@ fn run_workload(kind: Kind, args: &Args, fp: &Fingerprint) -> Result<bool, Strin
             m.samples
         );
     }
-    let Checks { attempted, failed } = run.all_checks();
-    println!(
-        "{{\"correct\": {}, \"attempted\": {attempted}, \"failed\": {failed}, \"metrics\": {}}}",
-        failed == 0,
-        metrics_json(&result)
-    );
-    Ok(failed == 0)
+    let checks = run.all_checks();
+    println!("{}", result_line(checks, &result));
+    Ok(checks.failed == 0)
 }
 
 fn main() -> ExitCode {
@@ -734,43 +720,50 @@ mod tests {
         };
         let m = end_to_end(Kind::Table1Sweep, &[pass(0.25, [125.0, 125.0], 0.25)], 1.0);
         assert!(m.iter().all(|x| valid_metric_name(x.name)));
-        assert_eq!(
-            metrics_json(&m[..1]),
-            "{\"wall_s\": {\"value\": 0.75, \"unit\": \"s\"}}"
-        );
+        let line = Json::parse(&result_line(Checks::default(), &m[..1])).expect("valid JSON");
+        let wall = line.get("metrics").and_then(|m| m.get("wall_s"));
+        assert_eq!(wall.and_then(|w| w.get("value")), Some(&Json::F64(0.75)));
+        assert_eq!(line.get("correct"), Some(&Json::Bool(true)));
         let value = |name: &str| m.iter().find(|x| x.name == name).expect("present").value;
         assert_eq!(value("requests_per_host_s"), 8.0);
         assert_eq!(value("sim_mb_per_host_s"), 4.0);
     }
 
     #[test]
-    fn the_floor_takes_each_part_at_its_least_disturbed() {
-        let pass = |setup_s: f64, op_ms: [f64; 2], wall_s: f64| Pass {
+    fn host_figures_are_medians_over_passes() {
+        let pass = |setup_s: f64, op_ms: [f64; 3], wall_s: f64| Pass {
             setup_s,
             wall_s,
             ops_s: op_ms.iter().sum::<f64>() / 1e3,
             op_ms: op_ms.to_vec(),
+            requests: 3,
             ..Pass::default()
         };
         let passes = [
-            pass(0.5, [250.0, 500.0], 2.0),
-            pass(1.0, [500.0, 250.0], 2.0),
+            pass(0.5, [100.0, 200.0, 700.0], 2.0),
+            pass(0.1, [300.0, 200.0, 500.0], 3.0),
+            pass(0.3, [400.0, 400.0, 200.0], 1.0),
         ];
-        let floor = Floor::of(&passes);
-        assert_eq!(floor.op_ms, [250.0, 250.0]);
-        assert_eq!(
-            (floor.setup_s, floor.rest_s, floor.ops_s()),
-            (0.5, 0.25, 0.5)
-        );
-        assert_eq!(floor.wall_s(), 1.25);
+        let m = end_to_end(Kind::FaultSoak, &passes, 1.0);
+        let value = |name: &str| m.iter().find(|x| x.name == name).expect("present").value;
+        assert_eq!(value("wall_s"), 2.0);
+        assert_eq!(value("setup_s"), 0.3);
+        // Nearest-rank percentiles of all nine operations: 100, 200 x3,
+        // 300, 400 x2, 500 and 700 ms.
+        assert_eq!(value("op_ms_p50"), 300.0);
+        assert_eq!(value("op_ms_p90"), 700.0);
+        // Every pass ran 3 requests in 1 s of operations.
+        assert_eq!(value("requests_per_host_s"), 3.0);
+        let samples = m.iter().find(|x| x.name == "op_ms_p50").map(|x| x.samples);
+        assert_eq!(samples, Some(9));
     }
 
     /// `(name, unit)` of every metric in one `BENCHMARK.json` section.
     fn declared(section: &str) -> Vec<(String, String)> {
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../BENCHMARK.json");
         let text = std::fs::read_to_string(path).expect("BENCHMARK.json beside perfbench/");
-        let json = pdr_sim_core::json::Json::parse(&text).expect("valid JSON");
-        let field = |m: &pdr_sim_core::json::Json, k: &str| {
+        let json = Json::parse(&text).expect("valid JSON");
+        let field = |m: &Json, k: &str| {
             m.get(k)
                 .and_then(|v| v.as_str())
                 .expect("string field")
@@ -809,15 +802,12 @@ mod tests {
             checks: Checks::default(),
             peak_rss_mb: 1.0,
         };
-        let layer = per_layer(&workload, &mut spans, &mut run);
+        let layer = per_layer(&mut workload, &mut spans, &mut run);
         assert_eq!(names_units(&layer), declared("per_layer"));
+        // The tick-kernel pass ran, and its outputs matched the pinned
+        // kernel's.
+        assert!(layer[2].name == "sim_core.engine.ns_per_action" && layer[2].value > 0.0);
         assert!(layer.iter().all(|m| valid_metric_name(m.name)));
         assert_eq!(run.all_checks().failed, 0);
-    }
-
-    #[test]
-    fn non_finite_values_become_null() {
-        assert_eq!(json_number(f64::NAN), "null");
-        assert_eq!(json_number(1.5), "1.5");
     }
 }

@@ -6,8 +6,9 @@
 //! the same code with no spans kept.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::time::Instant;
+
+use pdr_sim_core::json::{Json, ToJson};
 
 /// One closed span. Times are nanoseconds since the recorder was created.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,12 +141,16 @@ impl Spans {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (i, (s, own)) in self.spans.iter().zip(self.self_ns()).enumerate() {
-            let parent = s.parent.map_or("null".to_string(), |p| p.to_string());
-            let _ = writeln!(
-                out,
-                "{{\"id\":{i},\"parent\":{parent},\"name\":\"{}\",\"start_ns\":{},\"end_ns\":{},\"self_ns\":{own}}}",
-                s.name, s.start_ns, s.end_ns
-            );
+            let line = Json::Obj(vec![
+                ("id".into(), i.to_json()),
+                ("parent".into(), s.parent.to_json()),
+                ("name".into(), s.name.to_json()),
+                ("start_ns".into(), s.start_ns.to_json()),
+                ("end_ns".into(), s.end_ns.to_json()),
+                ("self_ns".into(), own.to_json()),
+            ]);
+            out.push_str(&line.render());
+            out.push('\n');
         }
         out
     }
