@@ -9,7 +9,7 @@
 
 use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
 use pdr_sim_core::{
-    fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer,
+    fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer, WakeSignal,
 };
 
 use crate::mm::{ReadBeat, ReadReq};
@@ -52,8 +52,13 @@ pub struct ReadInterconnect {
     /// Round-robin pointer over masters for the address channel.
     rr_next: usize,
     stats: InterconnectStats,
-    /// Domain cycle up to which `data_idle` is synchronised (event skipping).
+    /// Domain cycle up to which `data_idle`/`data_stalls` are synchronised
+    /// (event skipping).
     last_cycle: u64,
+    /// Whether the edges after the last dispatched one stalled on a full
+    /// master (else they idled), recorded at the end of every edge;
+    /// next_wake wakes the interconnect whenever it no longer matches.
+    stalled: bool,
 }
 
 /// Endpoints handed to a master when it is attached.
@@ -91,6 +96,7 @@ impl ReadInterconnect {
                 rr_next: 0,
                 stats: InterconnectStats::default(),
                 last_cycle: 0,
+                stalled: false,
             },
             SlaveEndpoints {
                 req: req_rx,
@@ -125,6 +131,25 @@ impl ReadInterconnect {
     /// Activity counters.
     pub fn stats(&self) -> InterconnectStats {
         self.stats
+    }
+
+    /// What the next edge would do with the current inputs: `None` when it
+    /// has work (a request to forward or a beat to route), else whether it
+    /// would only count a data stall (`true`) or an idle cycle (`false`).
+    fn quiescent_as(&self) -> Option<bool> {
+        let addr_work =
+            self.slave_req_out.can_push() && self.masters.iter().any(|m| !m.req_in.is_empty());
+        if addr_work {
+            return None;
+        }
+        match self
+            .slave_beat_in
+            .peek_with(|beat| self.masters[beat.id as usize].beat_out.can_push())
+        {
+            None => Some(false),
+            Some(true) => None,
+            Some(false) => Some(true),
+        }
     }
 }
 
@@ -171,23 +196,39 @@ impl Component for ReadInterconnect {
             }
             None => self.stats.data_idle += 1,
         }
+        self.stalled = self.quiescent_as() == Some(true);
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {
-        let addr_work =
-            self.slave_req_out.can_push() && self.masters.iter().any(|m| !m.req_in.is_empty());
-        if addr_work || !self.slave_beat_in.is_empty() {
-            NextWake::EveryCycle
-        } else {
-            // Every skipped edge would only have counted data-channel
-            // idleness, which catch_up folds in closed form.
-            NextWake::Idle
+        // Every skipped edge would only count data-channel idleness or a
+        // stall on a full master, whichever was recorded; catch_up folds
+        // that in closed form.
+        match self.quiescent_as() {
+            Some(stalled) if stalled == self.stalled => NextWake::Idle,
+            _ => NextWake::EveryCycle,
         }
+    }
+
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        let mut signals = vec![
+            self.slave_req_out.wake_signal(),
+            self.slave_beat_in.wake_signal(),
+        ];
+        for m in &self.masters {
+            signals.push(m.req_in.wake_signal());
+            signals.push(m.beat_out.wake_signal());
+        }
+        Some(signals)
     }
 
     fn catch_up(&mut self, cycle: u64) {
         if cycle > self.last_cycle {
-            self.stats.data_idle += cycle - self.last_cycle;
+            let k = cycle - self.last_cycle;
+            if self.stalled {
+                self.stats.data_stalls += k;
+            } else {
+                self.stats.data_idle += k;
+            }
             self.last_cycle = cycle;
         }
     }
@@ -204,6 +245,7 @@ impl Component for ReadInterconnect {
             ("rr_next".to_string(), (self.rr_next as u64).to_json()),
             ("stats".to_string(), self.stats.to_json()),
             ("last_cycle".to_string(), self.last_cycle.to_json()),
+            ("stalled".to_string(), self.stalled.to_json()),
             (
                 "slave_beats".to_string(),
                 self.slave_beat_in.fifo().snapshot_json(),
@@ -216,6 +258,12 @@ impl Component for ReadInterconnect {
         self.rr_next = u64::from_json(state.get("rr_next").unwrap_or(&Json::Null))? as usize;
         self.stats = InterconnectStats::from_json(state.get("stats").unwrap_or(&Json::Null))?;
         self.last_cycle = u64::from_json(state.get("last_cycle").unwrap_or(&Json::Null))?;
+        // Absent from checkpoints of interconnects that never slept on a
+        // stall; `false` then just wakes a stalled one to re-record it.
+        self.stalled = match state.get("stalled") {
+            None => false,
+            Some(v) => bool::from_json(v)?,
+        };
         self.slave_beat_in
             .fifo()
             .restore_json(state.get("slave_beats").unwrap_or(&Json::Null))?;

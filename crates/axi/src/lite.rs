@@ -13,12 +13,15 @@ use std::fmt;
 use std::rc::Rc;
 
 use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
+use pdr_sim_core::WakeSignal;
 
 #[derive(Debug, Default)]
 struct Inner {
     regs: BTreeMap<u32, u32>,
     reads: u64,
     writes: u64,
+    /// Bumped on every write and restore.
+    signal: WakeSignal,
 }
 
 /// A shared word-addressed register file. Cloning yields another handle to
@@ -42,11 +45,25 @@ impl RegisterFile {
         inner.regs.get(&addr).copied().unwrap_or(0)
     }
 
+    /// Reads the register at byte offset `addr` without counting the
+    /// access: for the simulator's own inspection (wake polls, monitors),
+    /// which must not change modelled state.
+    pub fn peek(&self, addr: u32) -> u32 {
+        self.inner.borrow().regs.get(&addr).copied().unwrap_or(0)
+    }
+
     /// Writes the register at byte offset `addr`.
     pub fn write(&self, addr: u32, value: u32) {
         let mut inner = self.inner.borrow_mut();
         inner.writes += 1;
         inner.regs.insert(addr, value);
+        inner.signal.bump();
+    }
+
+    /// The change counter bumped by every write and restore (see
+    /// [`pdr_sim_core::Component::wake_signals`]).
+    pub fn wake_signal(&self) -> WakeSignal {
+        self.inner.borrow().signal.clone()
     }
 
     /// Sets bits of a register (read-modify-write OR).
@@ -115,6 +132,7 @@ impl RegisterFile {
         inner.regs = regs;
         inner.reads = reads;
         inner.writes = writes;
+        inner.signal.bump();
         Ok(())
     }
 }
@@ -158,6 +176,19 @@ mod tests {
         assert_eq!(rf.read(0x04), 0b1001);
         assert!(rf.bits_set(0x04, 0b1000));
         assert!(!rf.bits_set(0x04, 0b0110));
+    }
+
+    #[test]
+    fn peek_is_not_an_access_and_writes_bump_the_signal() {
+        let rf = RegisterFile::new();
+        let sig = rf.wake_signal();
+        rf.write(0x10, 7);
+        assert_eq!(sig.value(), 1);
+        assert_eq!(rf.peek(0x10), 7);
+        assert_eq!(rf.peek(0x14), 0);
+        assert_eq!(rf.access_counts(), (0, 1));
+        let _ = rf.read(0x10);
+        assert_eq!(sig.value(), 1, "reads leave the signal alone");
     }
 
     #[test]

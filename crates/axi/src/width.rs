@@ -6,7 +6,9 @@
 //! ICAP-side byte rate exactly `4 B × f` — the linear region of Fig. 5.
 
 use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
-use pdr_sim_core::{impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer};
+use pdr_sim_core::{
+    impl_json_struct, Component, Consumer, EdgeCtx, NextWake, Producer, WakeSignal,
+};
 
 use crate::stream::StreamBeat;
 
@@ -89,6 +91,10 @@ impl Component for Width64To32 {
         } else {
             NextWake::EveryCycle
         }
+    }
+
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        Some(vec![self.input.wake_signal(), self.output.wake_signal()])
     }
 
     fn snapshot_state(&self) -> Json {

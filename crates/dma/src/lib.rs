@@ -25,7 +25,7 @@ use pdr_axi::mm::ReadReq;
 use pdr_axi::stream::StreamBeat;
 use pdr_axi::RegisterFile;
 use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
-use pdr_sim_core::{impl_json_struct, Component, EdgeCtx, IrqLine, NextWake, Producer};
+use pdr_sim_core::{impl_json_struct, Component, EdgeCtx, IrqLine, NextWake, Producer, WakeSignal};
 
 /// `MM2S_DMACR` control register offset.
 pub const REG_DMACR: u32 = 0x00;
@@ -108,6 +108,16 @@ enum State {
     Running,
 }
 
+/// What a running engine's next edge would do if its inputs stay as they
+/// are, when that is nothing but counting a blocked cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Blocked {
+    /// The stream output is full: the edge counts a `stream_stalls` cycle.
+    Stream,
+    /// No beat has arrived: the edge counts a `starved_cycles` cycle.
+    Starved,
+}
+
 /// The AXI DMA MM2S engine. Bind it to the over-clock domain.
 #[derive(Debug)]
 pub struct AxiDma {
@@ -136,6 +146,10 @@ pub struct AxiDma {
     /// Domain cycle up to which stall/start countdowns are synchronised
     /// (event skipping).
     last_cycle: u64,
+    /// Why the edges after the last dispatched one were blocked, recorded
+    /// at the end of every edge: catch_up counts the skipped edges by it,
+    /// and next_wake wakes the engine as soon as it no longer holds.
+    blocked: Option<Blocked>,
     stats: DmaStats,
 }
 
@@ -173,6 +187,7 @@ impl AxiDma {
             bytes_to_stream: 0,
             outstanding: 0,
             last_cycle: 0,
+            blocked: None,
             stats: DmaStats::default(),
         }
     }
@@ -241,6 +256,27 @@ impl AxiDma {
         };
     }
 
+    /// How the next edge would be blocked, given the current inputs: `None`
+    /// when it has work (a burst to issue, a beat to stream) or the engine
+    /// is not running and unstalled.
+    fn blocked_now(&self) -> Option<Blocked> {
+        if self.stall_cycles > 0 || self.state != State::Running || self.bytes_to_stream == 0 {
+            return None;
+        }
+        let can_issue = self.bytes_to_request > 0
+            && self.outstanding < self.config.max_outstanding
+            && self.mem.req.can_push();
+        if can_issue {
+            None
+        } else if !self.stream_out.can_push() {
+            Some(Blocked::Stream)
+        } else if self.mem.beats.is_empty() {
+            Some(Blocked::Starved)
+        } else {
+            None
+        }
+    }
+
     fn issue_requests(&mut self) {
         while self.bytes_to_request > 0
             && self.outstanding < self.config.max_outstanding
@@ -296,17 +332,9 @@ impl AxiDma {
         }
         ctx.trace("dma-complete", self.stats.transfers, 0);
     }
-}
 
-impl Component for AxiDma {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn on_clock_edge(&mut self, ctx: &mut EdgeCtx<'_>) {
-        let cycle = ctx.cycle();
-        self.catch_up(cycle - 1);
-        self.last_cycle = cycle;
+    /// One live edge, after catch_up.
+    fn step(&mut self, ctx: &mut EdgeCtx<'_>) {
         if self.stall_cycles > 0 {
             self.stall_cycles -= 1;
             return;
@@ -329,6 +357,20 @@ impl Component for AxiDma {
             }
         }
     }
+}
+
+impl Component for AxiDma {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn on_clock_edge(&mut self, ctx: &mut EdgeCtx<'_>) {
+        let cycle = ctx.cycle();
+        self.catch_up(cycle - 1);
+        self.last_cycle = cycle;
+        self.step(ctx);
+        self.blocked = self.blocked_now();
+    }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {
         if self.stall_cycles > 0 {
@@ -339,9 +381,8 @@ impl Component for AxiDma {
         match self.state {
             State::Halted => {
                 // A halted engine only polls the doorbell; sleep until the
-                // registers actually hold one (writes by other components
-                // re-poll this engine through the wake bookkeeping).
-                if self.regs.bits_set(REG_DMACR, DMACR_RS) && self.regs.read(REG_LENGTH) != 0 {
+                // registers actually hold one (register writes wake it).
+                if self.regs.peek(REG_DMACR) & DMACR_RS != 0 && self.regs.peek(REG_LENGTH) != 0 {
                     NextWake::EveryCycle
                 } else {
                     NextWake::Idle
@@ -349,8 +390,22 @@ impl Component for AxiDma {
             }
             // `remaining` countdown edges, then the edge that goes Running.
             State::Starting { remaining } => NextWake::In(remaining as u64 + 1),
-            State::Running => NextWake::EveryCycle,
+            // Blocked edges only count the recorded reason; any FIFO change
+            // that lifts or alters it wakes the engine to re-record.
+            State::Running => match self.blocked_now() {
+                Some(b) if self.blocked == Some(b) => NextWake::Idle,
+                _ => NextWake::EveryCycle,
+            },
         }
+    }
+
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        Some(vec![
+            self.regs.wake_signal(),
+            self.mem.req.wake_signal(),
+            self.mem.beats.wake_signal(),
+            self.stream_out.wake_signal(),
+        ])
     }
 
     fn catch_up(&mut self, cycle: u64) {
@@ -369,10 +424,15 @@ impl Component for AxiDma {
                 k -= d;
             } else {
                 // Halted without a doorbell: every folded edge was a no-op.
-                debug_assert!(
-                    matches!(self.state, State::Halted),
-                    "folded a running DMA engine"
-                );
+                // Running: every folded edge counted the recorded block.
+                match (self.state, self.blocked) {
+                    (State::Running, Some(Blocked::Stream)) => self.stats.stream_stalls += k,
+                    (State::Running, Some(Blocked::Starved)) => self.stats.starved_cycles += k,
+                    (State::Running, None) => {
+                        debug_assert!(false, "folded a running DMA engine with work")
+                    }
+                    _ => {}
+                }
                 break;
             }
         }
@@ -404,6 +464,14 @@ impl Component for AxiDma {
             ),
             ("outstanding".to_string(), self.outstanding.to_json()),
             ("last_cycle".to_string(), self.last_cycle.to_json()),
+            (
+                "blocked".to_string(),
+                match self.blocked {
+                    None => Json::Null,
+                    Some(Blocked::Stream) => Json::Str("stream".into()),
+                    Some(Blocked::Starved) => Json::Str("starved".into()),
+                },
+            ),
             ("stats".to_string(), self.stats.to_json()),
             ("regs".to_string(), self.regs.snapshot_json()),
             ("irq".to_string(), self.irq.snapshot_json()),
@@ -442,6 +510,20 @@ impl Component for AxiDma {
         self.bytes_to_stream = u64::from_json(state.get("bytes_to_stream").unwrap_or(&Json::Null))?;
         self.outstanding = u32::from_json(state.get("outstanding").unwrap_or(&Json::Null))?;
         self.last_cycle = u64::from_json(state.get("last_cycle").unwrap_or(&Json::Null))?;
+        // Absent from checkpoints of engines that never slept while
+        // running; `None` then just wakes the engine to re-record it.
+        self.blocked = match state.get("blocked") {
+            None | Some(Json::Null) => None,
+            Some(v) => match v.as_str() {
+                Some("stream") => Some(Blocked::Stream),
+                Some("starved") => Some(Blocked::Starved),
+                _ => {
+                    return Err(JsonError {
+                        msg: format!("unknown dma block reason {v:?}"),
+                    })
+                }
+            },
+        };
         self.stats = DmaStats::from_json(state.get("stats").unwrap_or(&Json::Null))?;
         self.regs
             .restore_json(state.get("regs").unwrap_or(&Json::Null))?;

@@ -27,7 +27,9 @@ use pdr_axi::width::Word32;
 use pdr_bitstream::{Action, CmdCode, ParseError, Parser, ParserSnapshot};
 use pdr_fabric::ConfigMemory;
 use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
-use pdr_sim_core::{Component, Consumer, EdgeCtx, IrqLine, NextWake, SimTime, Xoshiro256StarStar};
+use pdr_sim_core::{
+    Component, Consumer, EdgeCtx, IrqLine, NextWake, SimTime, WakeSignal, Xoshiro256StarStar,
+};
 
 /// Shared handle to the device's configuration memory.
 pub type SharedConfigMemory = Rc<RefCell<ConfigMemory>>;
@@ -321,6 +323,10 @@ impl Component for IcapController {
         } else {
             NextWake::EveryCycle
         }
+    }
+
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        Some(vec![self.stream_in.wake_signal()])
     }
 
     fn snapshot_state(&self) -> Json {

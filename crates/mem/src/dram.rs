@@ -12,7 +12,7 @@
 use pdr_axi::interconnect::SlaveEndpoints;
 use pdr_axi::mm::{ReadBeat, ReadReq};
 use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
-use pdr_sim_core::{impl_json_struct, Component, EdgeCtx, NextWake};
+use pdr_sim_core::{impl_json_struct, Component, EdgeCtx, NextWake, WakeSignal};
 
 use crate::backing::Backing;
 
@@ -229,21 +229,43 @@ impl Component for DramController {
     }
 
     fn next_wake(&self, _now_cycle: u64) -> NextWake {
-        // Any in-flight burst or queued request needs edge-by-edge service;
-        // an idle controller only cycles its refresh counters, which
-        // catch_up folds in closed form.
-        if !matches!(self.state, BurstState::Idle) || !self.ports.req.is_empty() {
-            NextWake::EveryCycle
-        } else {
+        // An idle controller only cycles its refresh counters, and one
+        // serving into a full beat FIFO only counts output stalls besides:
+        // catch_up folds both in closed form. The interconnect popping a
+        // beat or pushing a request wakes it. Opening a row needs
+        // edge-by-edge service.
+        let asleep = match self.state {
+            BurstState::Idle => self.ports.req.is_empty(),
+            BurstState::Serving { .. } => !self.ports.beats.can_push(),
+            BurstState::Opening { .. } => false,
+        };
+        if asleep {
             NextWake::Idle
+        } else {
+            NextWake::EveryCycle
         }
     }
 
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        Some(vec![
+            self.ports.req.wake_signal(),
+            self.ports.beats.wake_signal(),
+        ])
+    }
+
     fn catch_up(&mut self, cycle: u64) {
-        // Replay `cycle - last_cycle` idle edges of the refresh state
+        // Replay `cycle - last_cycle` quiescent edges of the refresh state
         // machine in closed form. Only legal because every folded edge had
-        // `state == Idle` and an empty request queue (next_wake contract),
-        // so the burst arm of on_clock_edge was unreachable.
+        // either `state == Idle` and an empty request queue, or
+        // `state == Serving` and a full beat FIFO (next_wake contract): the
+        // burst arm of on_clock_edge did nothing, or only counted a stall.
+        // A serving controller is polled on every edge it can push on, so
+        // any edge it skipped while serving was a stall edge.
+        let serving = matches!(self.state, BurstState::Serving { .. });
+        debug_assert!(
+            !matches!(self.state, BurstState::Opening { .. }) || cycle <= self.last_cycle,
+            "folded an opening DRAM burst"
+        );
         let mut k = cycle.saturating_sub(self.last_cycle);
         self.last_cycle = cycle;
         while k > 0 {
@@ -260,6 +282,9 @@ impl Component for DramController {
             } else {
                 let d = (self.refresh_in as u64).min(k);
                 self.refresh_in -= d as u32;
+                if serving {
+                    self.stats.output_stalls += d;
+                }
                 k -= d;
             }
         }

@@ -19,5 +19,5 @@ pub mod dram;
 pub mod sram;
 
 pub use backing::Backing;
-pub use dram::{DramConfig, DramController};
+pub use dram::{DramConfig, DramController, DramStats};
 pub use sram::{QdrSram, SramConfig, SramPorts, SramReadCmd};

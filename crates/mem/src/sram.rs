@@ -20,7 +20,7 @@ use pdr_axi::width::Word32;
 use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
 use pdr_sim_core::{
     fifo_channel, impl_json_struct, Component, Consumer, EdgeCtx, Frequency, NextWake, Producer,
-    SimDuration,
+    SimDuration, WakeSignal,
 };
 
 use crate::backing::Backing;
@@ -202,6 +202,10 @@ impl Component for QdrSram {
         } else {
             NextWake::EveryCycle
         }
+    }
+
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        Some(vec![self.cmd_in.wake_signal()])
     }
 
     fn snapshot_state(&self) -> Json {

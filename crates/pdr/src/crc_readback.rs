@@ -15,7 +15,7 @@
 
 use pdr_icap::SharedConfigMemory;
 use pdr_sim_core::json::{FromJson, Json, JsonError, ToJson};
-use pdr_sim_core::{impl_json_struct, Component, EdgeCtx, IrqLine, NextWake};
+use pdr_sim_core::{impl_json_struct, Component, EdgeCtx, IrqLine, NextWake, WakeSignal};
 
 use pdr_bitstream::Crc32;
 
@@ -218,6 +218,11 @@ impl Component for CrcReadback {
         // Edges with countdown > 1 only decrement it; the interesting edge
         // (frame absorb + CRC) is the one that sees countdown == 1.
         NextWake::In(self.frame_countdown as u64)
+    }
+
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        // The scan schedule is the block's own state.
+        Some(Vec::new())
     }
 
     fn catch_up(&mut self, cycle: u64) {

@@ -391,6 +391,21 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_plan_json_is_an_error_not_an_abort() {
+        // A corrupted plan nesting 50,000 arrays used to overflow the
+        // parser's stack and abort the process.
+        let (_, p) = plan();
+        let text = p.to_json_string();
+        let deep = text.replacen(
+            "\"events\":",
+            &format!("\"events\":{}", "[".repeat(50_000)),
+            1,
+        );
+        let err = FaultPlan::from_json_str(&deep).unwrap_err();
+        assert!(err.msg.contains("nesting deeper than"), "{}", err.msg);
+    }
+
+    #[test]
     fn events_are_time_ordered_and_inside_the_horizon() {
         let (cfg, p) = plan();
         let mut prev = 0;

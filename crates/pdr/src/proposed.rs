@@ -29,7 +29,7 @@ use pdr_icap::{shared_config_memory, IcapController, SharedConfigMemory};
 use pdr_mem::{QdrSram, SramConfig, SramReadCmd};
 use pdr_sim_core::{
     Component, ComponentId, Consumer, EdgeCtx, Engine, EngineStrategy, Frequency, IrqBus, IrqLine,
-    NextWake, Producer, SimDuration, SimTime,
+    NextWake, Producer, SimDuration, SimTime, WakeSignal,
 };
 
 use crate::system::{bitstream_payload, frames_crc, IDCODE};
@@ -254,6 +254,10 @@ impl Component for Decompressor {
         } else {
             NextWake::EveryCycle
         }
+    }
+
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        Some(vec![self.output.wake_signal()])
     }
 }
 

@@ -175,6 +175,24 @@ mod tests {
     }
 
     #[test]
+    fn load_rejects_deep_nesting_with_a_typed_error() {
+        // A corrupted checkpoint nesting 50,000 arrays used to overflow the
+        // parser's stack and abort the whole campaign on --resume.
+        let dir = std::env::temp_dir().join("pdr-snapshot-deep-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("deep.json");
+        let text = format!(
+            "{{\"version\":1,\"kind\":\"system\",\"payload\":{}{}}}",
+            "[".repeat(50_000),
+            "]".repeat(50_000)
+        );
+        std::fs::write(&path, text).unwrap();
+        let err = load(&path).unwrap_err();
+        assert!(err.msg.contains("nesting deeper than"), "{}", err.msg);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn concurrent_saves_to_one_target_never_tear() {
         // Before per-call temp names, two savers shared `path.tmp`: one
         // could rename the other's half-written file over the target. Now

@@ -198,6 +198,7 @@ pub struct ZynqPdrSystem {
     icap_id: ComponentId,
     readback_id: ComponentId,
     ic_id: ComponentId,
+    dram_id: ComponentId,
     regs: RegisterFile,
     /// Per-partition data DMAs on the HP ports (Fig. 1), with their
     /// register files and completion lines.
@@ -265,7 +266,7 @@ impl ZynqPdrSystem {
 
         let mut rng = Xoshiro256StarStar::seed_from_u64(config.seed);
 
-        engine.add_component(
+        let dram_id = engine.add_component(
             DramController::new("ddr3", config.dram, backing.clone(), slave),
             Some(dram_clk),
         );
@@ -407,6 +408,7 @@ impl ZynqPdrSystem {
             icap_id,
             readback_id,
             ic_id,
+            dram_id,
             regs,
             icap_done,
             dma_ioc,
@@ -1304,6 +1306,18 @@ impl ZynqPdrSystem {
     pub fn interconnect_stats(&self) -> pdr_axi::interconnect::InterconnectStats {
         self.engine
             .component::<ReadInterconnect>(self.ic_id)
+            .stats()
+    }
+
+    /// Configuration-DMA statistics (stream stalls, starved cycles, ...).
+    pub fn dma_stats(&self) -> pdr_dma::DmaStats {
+        self.engine.component::<AxiDma>(self.dma_id).stats()
+    }
+
+    /// DRAM controller statistics (output stalls, refresh, ...).
+    pub fn dram_stats(&self) -> pdr_mem::DramStats {
+        self.engine
+            .component::<DramController>(self.dram_id)
             .stats()
     }
 

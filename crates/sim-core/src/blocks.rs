@@ -8,7 +8,7 @@
 
 use std::collections::VecDeque;
 
-use crate::component::{Component, NextWake};
+use crate::component::{Component, NextWake, WakeSignal};
 use crate::engine::EdgeCtx;
 use crate::fifo::{Consumer, Producer};
 use crate::json::{FromJson, Json, JsonError, ToJson};
@@ -73,6 +73,10 @@ impl<T: 'static, F: FnMut(u64) -> T + 'static> Component for Source<T, F> {
         } else {
             NextWake::EveryCycle
         }
+    }
+
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        Some(vec![self.output.wake_signal()])
     }
 
     fn snapshot_state(&self) -> Json {
@@ -168,6 +172,10 @@ impl<T: ToJson + FromJson + 'static, F: FnMut(T) + 'static> Component for Sink<T
         NextWake::In(self.stride as u64 - phase)
     }
 
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        Some(vec![self.input.wake_signal()])
+    }
+
     fn catch_up(&mut self, cycle: u64) {
         if cycle > self.last_cycle {
             let delta = cycle - self.last_cycle;
@@ -261,6 +269,10 @@ impl<T: ToJson + FromJson + 'static> Component for DelayLine<T> {
         } else {
             NextWake::EveryCycle
         }
+    }
+
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        Some(vec![self.input.wake_signal(), self.output.wake_signal()])
     }
 
     fn snapshot_state(&self) -> Json {

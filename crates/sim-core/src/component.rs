@@ -2,6 +2,8 @@
 
 use core::any::Any;
 use core::fmt;
+use std::cell::Cell;
+use std::rc::Rc;
 
 use crate::engine::EdgeCtx;
 use crate::json::{Json, JsonError};
@@ -81,9 +83,43 @@ pub enum NextWake {
     /// Every future edge is a no-op (beyond what [`Component::catch_up`]
     /// folds) until some external input arrives — a FIFO push, a register
     /// write, a delivered event. The engine re-polls sleeping components
-    /// after every dispatched action and at the start of every run, so new
-    /// input always wakes them on the same edge the tick engine would act.
+    /// whose declared inputs changed (see [`Component::wake_signals`]) after
+    /// every dispatched action and at the start of every run, so new input
+    /// always wakes them on the same edge the tick engine would act.
     Idle,
+}
+
+/// A shared change counter on one of a component's inputs.
+///
+/// FIFOs bump theirs on every push, pop, clear and restore; register files
+/// on every write. A component lists the signals of every shared input its
+/// [`Component::next_wake`] reads (see [`Component::wake_signals`]), and the
+/// event-skipping engine re-polls it while it sleeps only when one of those
+/// counters moved. Cloning yields another handle to the same counter.
+#[derive(Clone, Default)]
+pub struct WakeSignal(Rc<Cell<u64>>);
+
+impl WakeSignal {
+    /// Creates a counter at zero.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records a change of the input this signal guards.
+    pub fn bump(&self) {
+        self.0.set(self.0.get().wrapping_add(1));
+    }
+
+    /// The number of changes recorded so far.
+    pub fn value(&self) -> u64 {
+        self.0.get()
+    }
+}
+
+impl fmt::Debug for WakeSignal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "WakeSignal({})", self.value())
+    }
 }
 
 /// A simulated hardware block (or software agent) driven by the engine.
@@ -117,6 +153,22 @@ pub trait Component: Any {
     fn next_wake(&self, now_cycle: u64) -> NextWake {
         let _ = now_cycle;
         NextWake::EveryCycle
+    }
+
+    /// The change counters of every shared input [`Component::next_wake`]
+    /// reads (FIFO endpoints, register files), or `None` to be re-polled
+    /// after every dispatched action while asleep.
+    ///
+    /// Read by the event-skipping engine at registration and again after
+    /// any [`Engine::component_mut`](crate::Engine::component_mut) access.
+    /// While the component sleeps, the engine re-polls it only when one of
+    /// these counters moved, and skips it on edges where its wake is not
+    /// due. Listing too few signals therefore diverges from the tick engine;
+    /// state the component owns needs no signal (it changes only while the
+    /// component is dispatched, or between runs, when every component is
+    /// re-polled). The default `None` is always safe.
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        None
     }
 
     /// Folds the effect of the quiescent edges up to and including `cycle`

@@ -14,7 +14,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::clock::{ClockDomain, ClockDomainId, ClockDomainInfo};
-use crate::component::{Component, ComponentId, Event, NextWake};
+use crate::component::{Component, ComponentId, Event, NextWake, WakeSignal};
 use crate::json::{FromJson, Json, JsonError, ToJson};
 use crate::time::{Frequency, SimDuration, SimTime, PS_PER_SEC};
 use crate::trace::{Trace, TraceRecord};
@@ -105,6 +105,48 @@ pub struct RunResult {
     pub actions: u64,
 }
 
+/// Deterministic counters of the engine's own work, read with
+/// [`Engine::profile`].
+///
+/// They explain a run's host cost as "more work" or "costlier work". The
+/// two strategies differ here by design, so the counters stay out of
+/// snapshots and out of the tick ≡ event identity (which covers
+/// [`Engine::actions_dispatched`], not these).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EngineProfile {
+    /// Entries popped off the event queue.
+    pub queue_pops: u64,
+    /// Most entries ever queued at once.
+    pub queue_high_water: usize,
+    /// Per clock domain (indexed by domain id): edges dispatched one by
+    /// one, stale ones (queued before a re-program or gate) included.
+    pub edges_dispatched: Vec<u64>,
+    /// Per clock domain: edges accounted for in closed form by a fold.
+    pub edges_folded: Vec<u64>,
+    /// Per component (indexed by component id): `on_clock_edge` and
+    /// `on_event` calls.
+    pub component_calls: Vec<u64>,
+    /// [`Component::next_wake`] polls made by the engine.
+    pub wake_polls: u64,
+}
+
+impl EngineProfile {
+    /// Live edges dispatched, over all domains.
+    pub fn edges_dispatched_total(&self) -> u64 {
+        self.edges_dispatched.iter().sum()
+    }
+
+    /// Edges folded, over all domains.
+    pub fn edges_folded_total(&self) -> u64 {
+        self.edges_folded.iter().sum()
+    }
+
+    /// Component calls, over all components.
+    pub fn component_calls_total(&self) -> u64 {
+        self.component_calls.iter().sum()
+    }
+}
+
 /// Scheduler state shared with components during dispatch.
 #[derive(Debug)]
 struct Kernel {
@@ -115,6 +157,7 @@ struct Kernel {
     trace: Trace,
     stop_request: Option<u64>,
     actions_dispatched: u64,
+    queue_high_water: usize,
 }
 
 impl Kernel {
@@ -122,6 +165,7 @@ impl Kernel {
         let seq = self.seq;
         self.seq += 1;
         self.queue.push(Reverse(QueueEntry { time, seq, action }));
+        self.queue_high_water = self.queue_high_water.max(self.queue.len());
     }
 
     fn schedule_edge(&mut self, id: ClockDomainId) {
@@ -247,6 +291,33 @@ struct Slot {
     /// forces the first edge to materialise. Only meaningful for clocked
     /// components under [`EngineStrategy::EventSkip`].
     due_cycle: u64,
+    /// The declared [`Component::wake_signals`] with the values seen at the
+    /// last poll; `None` re-polls after every action while asleep.
+    inputs: Option<Vec<(WakeSignal, u64)>>,
+    /// The declaration must be re-read before the next run (set at
+    /// registration and by [`Engine::component_mut`]).
+    inputs_stale: bool,
+    /// Called during the current action; re-polled authoritatively after it.
+    called: bool,
+}
+
+impl Slot {
+    /// True when a sleeping component must be re-polled: it declared no
+    /// signals, or one of them moved since its last poll.
+    fn inputs_changed(&self) -> bool {
+        match &self.inputs {
+            None => true,
+            Some(inputs) => inputs.iter().any(|(s, seen)| s.value() != *seen),
+        }
+    }
+
+    fn record_inputs(&mut self) {
+        if let Some(inputs) = &mut self.inputs {
+            for (s, seen) in inputs {
+                *seen = s.value();
+            }
+        }
+    }
 }
 
 /// The simulation engine: owns components, clock domains and the event queue.
@@ -256,6 +327,10 @@ pub struct Engine {
     kernel: Kernel,
     slots: Vec<Slot>,
     strategy: EngineStrategy,
+    profile: EngineProfile,
+    /// Component calls so far (the sum of the profile's per-component
+    /// counts), to tell pops that ran no component code.
+    calls: u64,
 }
 
 impl Default for Engine {
@@ -282,9 +357,12 @@ impl Engine {
                 trace: Trace::disabled(),
                 stop_request: None,
                 actions_dispatched: 0,
+                queue_high_water: 0,
             },
             slots: Vec::new(),
             strategy,
+            profile: EngineProfile::default(),
+            calls: 0,
         }
     }
 
@@ -324,6 +402,15 @@ impl Engine {
         self.kernel.actions_dispatched
     }
 
+    /// The engine's self-profile since construction (restores do not reset
+    /// or overwrite it).
+    pub fn profile(&self) -> EngineProfile {
+        EngineProfile {
+            queue_high_water: self.kernel.queue_high_water,
+            ..self.profile.clone()
+        }
+    }
+
     /// Registers a clock domain running at `frequency`; its first edge fires
     /// one period after the current instant.
     pub fn add_clock_domain(&mut self, name: &str, frequency: Frequency) -> ClockDomainId {
@@ -331,6 +418,8 @@ impl Engine {
         let mut domain = ClockDomain::new(name.to_string(), frequency);
         domain.phase_origin = self.kernel.now;
         self.kernel.domains.push(domain);
+        self.profile.edges_dispatched.push(0);
+        self.profile.edges_folded.push(0);
         self.kernel.schedule_edge(id);
         id
     }
@@ -351,11 +440,31 @@ impl Engine {
             name,
             domain,
             due_cycle: 0,
+            inputs: None,
+            inputs_stale: true,
+            called: false,
         });
+        self.profile.component_calls.push(0);
         if let Some(d) = domain {
             self.kernel.domains[d.index()].members.push(id);
         }
         id
+    }
+
+    /// The ids of every registered component, in registration order.
+    pub fn component_ids(&self) -> impl Iterator<Item = ComponentId> {
+        (0..self.slots.len() as u32).map(ComponentId)
+    }
+
+    /// Asks a clocked component for its wake declaration as of its
+    /// domain's current edge, without storing the answer (`None` for an
+    /// unclocked component). Like the engine's own polls, this is a query:
+    /// it must not change the component's state.
+    pub fn wake_of(&self, id: ComponentId) -> Option<NextWake> {
+        let slot = &self.slots[id.index()];
+        let d = slot.domain?;
+        let now_cycle = self.kernel.domains[d.index()].total_edges;
+        slot.component.as_ref().map(|c| c.next_wake(now_cycle))
     }
 
     /// The registered name of a component.
@@ -392,6 +501,7 @@ impl Engine {
     /// Panics if `id` does not refer to a component of type `T`.
     pub fn component_mut<T: Component>(&mut self, id: ComponentId) -> &mut T {
         let slot = &mut self.slots[id.index()];
+        slot.inputs_stale = true;
         let name = slot.name.clone();
         let c = slot
             .component
@@ -456,6 +566,7 @@ impl Engine {
                 };
             }
             let Reverse(entry) = self.kernel.queue.pop().expect("peeked entry vanished");
+            self.profile.queue_pops += 1;
             debug_assert!(entry.time >= self.kernel.now, "time ran backwards");
             self.kernel.now = entry.time;
             self.execute(entry.action, deadline);
@@ -477,9 +588,14 @@ impl Engine {
         self.run_until(deadline)
     }
 
-    /// Runs until `predicate` returns true (checked after every dispatched
-    /// action) or `deadline` passes. Returns the final result plus whether
-    /// the predicate was satisfied.
+    /// Runs until `predicate` returns true (checked before the first action
+    /// and after every action that ran component code) or `deadline`
+    /// passes. Returns the final result plus whether the predicate was
+    /// satisfied.
+    ///
+    /// The predicate must read only state that components change when
+    /// called (their fields, IRQ lines, FIFOs): a fold or a stale edge runs
+    /// no component code, so the predicate is not re-evaluated after one.
     pub fn run_until_condition(
         &mut self,
         deadline: SimTime,
@@ -488,8 +604,9 @@ impl Engine {
         let start_actions = self.kernel.actions_dispatched;
         self.kernel.stop_request = None;
         self.refresh_all_wakes();
+        let mut calls_checked = None;
         let result = loop {
-            if predicate(self) {
+            if calls_checked != Some(self.calls) && predicate(self) {
                 break (
                     RunResult {
                         reason: StopReason::Stopped(0),
@@ -523,7 +640,9 @@ impl Engine {
                     false,
                 );
             }
+            calls_checked = Some(self.calls);
             let Reverse(entry) = self.kernel.queue.pop().expect("peeked entry vanished");
+            self.profile.queue_pops += 1;
             self.kernel.now = entry.time;
             self.execute(entry.action, deadline);
             if let Some(code) = self.kernel.stop_request.take() {
@@ -568,14 +687,14 @@ impl Engine {
                 if min_due <= next_cycle {
                     // Some member does work on this very edge.
                     self.dispatch(action);
-                    self.refresh_wakes(Some(domain), None);
+                    self.refresh_wakes();
                 } else if !self.global_fold(domain, min_due, deadline) {
                     self.fold_edges(domain, min_due, deadline);
                 }
             }
-            Action::Deliver { target, .. } => {
+            Action::Deliver { .. } => {
                 self.dispatch(action);
-                self.refresh_wakes(None, Some(target));
+                self.refresh_wakes();
             }
         }
     }
@@ -602,35 +721,19 @@ impl Engine {
     /// its older sequence number at the first shared instant, and that pop
     /// order then reproduces itself at every later instant of the span.
     ///
-    /// Returns false when ineligible — a Deliver or stale edge is queued
-    /// (those interleave with the span in ways only the bounded per-domain
-    /// fold handles), or the earliest wake does not clear the next queued
-    /// entry (no cross-domain skip to be had) — and the caller falls back
-    /// to [`Engine::fold_edges`].
+    /// Returns false when ineligible — the earliest wake does not clear the
+    /// next queued entry (no cross-domain skip to be had), or a Deliver or
+    /// stale edge is queued (those interleave with the span in ways only
+    /// the bounded per-domain fold handles) — and the caller falls back to
+    /// [`Engine::fold_edges`]. The first test needs only the queue head, so
+    /// the common rejection neither scans the queue nor allocates.
     fn global_fold(
         &mut self,
         popped: ClockDomainId,
         popped_min_due: u64,
         deadline: SimTime,
     ) -> bool {
-        // Eligibility scan; also capture each domain's live entry.
-        let n_domains = self.kernel.domains.len();
-        let mut entries: Vec<Option<(u64, SimTime)>> = vec![None; n_domains];
-        let mut head: Option<SimTime> = None;
-        for Reverse(e) in self.kernel.queue.iter() {
-            match e.action {
-                Action::Edge { domain, generation } => {
-                    let d = &self.kernel.domains[domain.index()];
-                    if d.gated || d.generation != generation {
-                        return false;
-                    }
-                    entries[domain.index()] = Some((e.seq, e.time));
-                    head = Some(head.map_or(e.time, |h: SimTime| h.min(e.time)));
-                }
-                Action::Deliver { .. } => return false,
-            }
-        }
-        let Some(head) = head else {
+        let Some(head) = self.kernel.queue.peek().map(|Reverse(e)| e.time) else {
             return false; // single-domain system: fold_edges already optimal
         };
 
@@ -659,6 +762,22 @@ impl Engine {
         }
         if t_stop <= head {
             return false; // cannot skip past any queued entry
+        }
+
+        // Eligibility scan; also capture each domain's live entry.
+        let n_domains = self.kernel.domains.len();
+        let mut entries: Vec<Option<(u64, SimTime)>> = vec![None; n_domains];
+        for Reverse(e) in self.kernel.queue.iter() {
+            match e.action {
+                Action::Edge { domain, generation } => {
+                    let d = &self.kernel.domains[domain.index()];
+                    if d.gated || d.generation != generation {
+                        return false;
+                    }
+                    entries[domain.index()] = Some((e.seq, e.time));
+                }
+                Action::Deliver { .. } => return false,
+            }
         }
 
         // Fold every running domain's edges strictly before `t_stop` (the
@@ -695,6 +814,7 @@ impl Engine {
             if k == 0 {
                 continue; // entry at or past t_stop: stays queued verbatim
             }
+            self.profile.edges_folded[idx] += k;
             d.edges_since_origin = n0 + k - 1;
             d.next_edge = n0 + k;
             d.total_edges += k;
@@ -807,6 +927,7 @@ impl Engine {
         // popped edge itself already won its pop ordering: a k = 1 "fold" is
         // exactly the tick engine's no-op dispatch of that edge.
         let k = k_wake.min(k_time).max(1);
+        self.profile.edges_folded[domain.index()] += k;
         d.edges_since_origin = n0 + k - 1;
         d.next_edge = n0 + k;
         d.total_edges = c + k;
@@ -820,48 +941,96 @@ impl Engine {
         self.kernel.schedule_edge(domain);
     }
 
+    /// Asks component `idx` for its wake at `now_cycle` and stores it:
+    /// verbatim when `authoritative` (its state is freshly synchronised, so
+    /// the answer may move the wake later), else min-merged (the stored wake
+    /// can only move earlier, which is always safe).
+    fn poll(&mut self, idx: usize, now_cycle: u64, authoritative: bool) {
+        let slot = &mut self.slots[idx];
+        let Some(component) = slot.component.as_ref() else {
+            return;
+        };
+        let due = match component.next_wake(now_cycle) {
+            NextWake::EveryCycle => now_cycle + 1,
+            NextWake::In(n) => now_cycle.saturating_add(n.max(1)),
+            NextWake::Idle => u64::MAX,
+        };
+        slot.due_cycle = if authoritative {
+            due
+        } else {
+            slot.due_cycle.min(due)
+        };
+        slot.record_inputs();
+        self.profile.wake_polls += 1;
+    }
+
     /// Re-polls component wake declarations after a dispatched action.
     ///
-    /// Members of the just-dispatched edge's domain (or the event's target)
-    /// answer authoritatively — their state is freshly synchronised, so the
-    /// poll may move the wake later. Every other clocked component is
-    /// min-merged: its stored wake can only move earlier, which is always
-    /// safe (an early edge dispatches as a tick-identical no-op) and is what
-    /// wakes sleepers whose inputs this action just refilled.
-    fn refresh_wakes(&mut self, edge_domain: Option<ClockDomainId>, target: Option<ComponentId>) {
+    /// Components the action called answer authoritatively. A sleeping
+    /// component is min-merged only when one of its declared inputs moved
+    /// (or it declared none): that is what wakes sleepers whose inputs this
+    /// action just refilled or drained. Awake components are left alone —
+    /// a min-merge cannot move their wake earlier.
+    fn refresh_wakes(&mut self) {
         for idx in 0..self.slots.len() {
             let Some(sd) = self.slots[idx].domain else {
                 continue;
             };
-            let authoritative = edge_domain == Some(sd) || target.map(|t| t.index()) == Some(idx);
             let now_cycle = self.kernel.domains[sd.index()].total_edges;
-            if !authoritative && self.slots[idx].due_cycle <= now_cycle + 1 {
-                continue; // already awake; min-merge cannot move it earlier
-            }
-            let Some(component) = self.slots[idx].component.as_ref() else {
-                continue;
-            };
-            let due = match component.next_wake(now_cycle) {
-                NextWake::EveryCycle => now_cycle + 1,
-                NextWake::In(n) => now_cycle.saturating_add(n.max(1)),
-                NextWake::Idle => u64::MAX,
-            };
             let slot = &mut self.slots[idx];
-            slot.due_cycle = if authoritative {
-                due
-            } else {
-                slot.due_cycle.min(due)
-            };
+            if slot.called {
+                slot.called = false;
+                self.poll(idx, now_cycle, true);
+            } else if slot.due_cycle > now_cycle + 1 && slot.inputs_changed() {
+                self.poll(idx, now_cycle, false);
+            }
         }
     }
 
-    /// Min-merges every clocked component's wake at the start of a run:
-    /// harness code may have pushed FIFOs, written registers or re-armed
-    /// components since the previous run returned.
+    /// Re-reads stale input declarations and min-merges every sleeping
+    /// clocked component's wake at the start of a run: harness code may
+    /// have pushed FIFOs, written registers or re-armed components since
+    /// the previous run returned.
     fn refresh_all_wakes(&mut self) {
-        if self.strategy == EngineStrategy::EventSkip {
-            self.refresh_wakes(None, None);
+        if self.strategy != EngineStrategy::EventSkip {
+            return;
         }
+        for idx in 0..self.slots.len() {
+            let Some(sd) = self.slots[idx].domain else {
+                continue;
+            };
+            let slot = &mut self.slots[idx];
+            if slot.inputs_stale {
+                if let Some(component) = slot.component.as_ref() {
+                    slot.inputs = component
+                        .wake_signals()
+                        .map(|v| v.into_iter().map(|s| (s, 0)).collect());
+                    slot.inputs_stale = false;
+                }
+            }
+            let now_cycle = self.kernel.domains[sd.index()].total_edges;
+            if self.slots[idx].due_cycle > now_cycle + 1 {
+                self.poll(idx, now_cycle, false);
+            } else {
+                self.slots[idx].record_inputs();
+            }
+        }
+    }
+
+    /// Whether member `id` has work on the edge being dispatched (lifetime
+    /// edge `cycle`): its stored wake is due, or a member called earlier on
+    /// this edge changed one of its inputs and a fresh poll — as of the
+    /// edge before — now says so.
+    fn member_due(&mut self, id: ComponentId, cycle: u64) -> bool {
+        let slot = &self.slots[id.index()];
+        if slot.due_cycle <= cycle {
+            return true;
+        }
+        if !slot.inputs_changed() {
+            return false;
+        }
+        self.poll(id.index(), cycle - 1, false);
+        self.slots[id.index()].due_cycle <= cycle
     }
 
     /// Folds every clocked component up to its domain's current edge count
@@ -887,6 +1056,7 @@ impl Engine {
         self.kernel.actions_dispatched += 1;
         match action {
             Action::Edge { domain, generation } => {
+                self.profile.edges_dispatched[domain.index()] += 1;
                 {
                     let d = &self.kernel.domains[domain.index()];
                     if d.gated || d.generation != generation {
@@ -895,15 +1065,20 @@ impl Engine {
                 }
                 // Advance the edge counters before member dispatch so that
                 // ctx.cycle() observes the edge being processed.
-                let members = {
+                let (members, cycle) = {
                     let d = &mut self.kernel.domains[domain.index()];
                     d.edges_since_origin = d.next_edge;
                     d.next_edge += 1;
                     d.total_edges += 1;
-                    std::mem::take(&mut d.members)
+                    (std::mem::take(&mut d.members), d.total_edges)
                 };
+                // The event-skipping engine calls only the members with
+                // work on this edge; the others fold it later in catch_up.
+                let skip = self.strategy == EngineStrategy::EventSkip;
                 for &id in &members {
-                    self.call(id, Some(domain), None);
+                    if !skip || self.member_due(id, cycle) {
+                        self.call(id, Some(domain), None);
+                    }
                 }
                 {
                     let d = &mut self.kernel.domains[domain.index()];
@@ -1139,7 +1314,11 @@ impl Engine {
     }
 
     fn call(&mut self, id: ComponentId, domain: Option<ClockDomainId>, event: Option<Event>) {
-        let mut component = self.slots[id.index()]
+        self.calls += 1;
+        self.profile.component_calls[id.index()] += 1;
+        let slot = &mut self.slots[id.index()];
+        slot.called = true;
+        let mut component = slot
             .component
             .take()
             .expect("re-entrant component dispatch");

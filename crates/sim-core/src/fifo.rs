@@ -15,6 +15,7 @@ use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
+use crate::component::WakeSignal;
 use crate::impl_json_struct;
 use crate::json::{FromJson, Json, JsonError, ToJson};
 
@@ -44,6 +45,8 @@ struct Inner<T> {
     buf: std::collections::VecDeque<T>,
     capacity: usize,
     stats: FifoStats,
+    /// Bumped on every change of `buf`.
+    signal: WakeSignal,
 }
 
 /// A shared handle to bounded FIFO storage.
@@ -77,6 +80,7 @@ impl<T> Fifo<T> {
                 buf: std::collections::VecDeque::with_capacity(capacity),
                 capacity,
                 stats: FifoStats::default(),
+                signal: WakeSignal::new(),
             })),
         }
     }
@@ -118,6 +122,12 @@ impl<T> Fifo<T> {
         self.inner.borrow().stats
     }
 
+    /// The change counter bumped by every push, pop, clear and restore
+    /// (see [`Component::wake_signals`](crate::Component::wake_signals)).
+    pub fn wake_signal(&self) -> WakeSignal {
+        self.inner.borrow().signal.clone()
+    }
+
     /// Attempts to append an element; on a full FIFO the element is handed
     /// back unchanged and the rejection is counted.
     pub fn try_push(&self, value: T) -> Result<(), T> {
@@ -128,6 +138,7 @@ impl<T> Fifo<T> {
         }
         inner.buf.push_back(value);
         inner.stats.pushed += 1;
+        inner.signal.bump();
         let occ = inner.buf.len();
         if occ > inner.stats.high_water {
             inner.stats.high_water = occ;
@@ -141,6 +152,7 @@ impl<T> Fifo<T> {
         let v = inner.buf.pop_front();
         if v.is_some() {
             inner.stats.popped += 1;
+            inner.signal.bump();
         }
         v
     }
@@ -157,6 +169,7 @@ impl<T> Fifo<T> {
         let mut inner = self.inner.borrow_mut();
         let n = inner.buf.len();
         inner.buf.clear();
+        inner.signal.bump();
         n
     }
 }
@@ -213,6 +226,7 @@ impl<T: FromJson> Fifo<T> {
         inner.buf.clear();
         inner.buf.extend(decoded);
         inner.stats = stats;
+        inner.signal.bump();
         Ok(())
     }
 }
@@ -260,6 +274,11 @@ impl<T> Producer<T> {
     pub fn fifo(&self) -> &Fifo<T> {
         &self.fifo
     }
+
+    /// The underlying FIFO's change counter.
+    pub fn wake_signal(&self) -> WakeSignal {
+        self.fifo.wake_signal()
+    }
 }
 
 /// The read endpoint of a FIFO channel.
@@ -302,6 +321,11 @@ impl<T> Consumer<T> {
     /// The underlying shared handle (for monitors).
     pub fn fifo(&self) -> &Fifo<T> {
         &self.fifo
+    }
+
+    /// The underlying FIFO's change counter.
+    pub fn wake_signal(&self) -> WakeSignal {
+        self.fifo.wake_signal()
     }
 }
 
@@ -376,6 +400,34 @@ mod tests {
         assert_eq!(rx.fifo().clear(), 2);
         assert!(rx.is_empty());
         assert_eq!(rx.stats().popped, 0);
+    }
+
+    #[test]
+    fn wake_signal_moves_on_every_change_of_contents() {
+        let (tx, rx) = fifo_channel::<u32>("t", 1);
+        let sig = rx.wake_signal();
+        let mut last = sig.value();
+        let mut moved = |what: &str| {
+            let v = sig.value();
+            assert_ne!(v, last, "{what} must bump the signal");
+            last = v;
+        };
+        tx.try_push(1).unwrap();
+        moved("push");
+        rx.pop();
+        moved("pop");
+        tx.try_push(2).unwrap();
+        rx.fifo().clear();
+        assert_eq!(tx.wake_signal().value(), last + 2, "push + clear");
+        let snap = rx.fifo().snapshot_json();
+        rx.fifo().restore_json(&snap).unwrap();
+        assert_eq!(sig.value(), last + 3, "restore");
+        // Failed operations leave the contents, and the signal, alone.
+        let v = sig.value();
+        assert!(rx.pop().is_none());
+        tx.try_push(3).unwrap();
+        assert!(tx.try_push(4).is_err());
+        assert_eq!(sig.value(), v + 1);
     }
 
     #[test]

@@ -177,10 +177,14 @@ impl Json {
     }
 
     /// Parses JSON text.
+    ///
+    /// Arrays and objects may nest at most [`MAX_DEPTH`] deep; deeper input
+    /// is an error rather than a stack overflow.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -210,9 +214,16 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// deepest document the workspace writes (a system snapshot) nests about a
+/// dozen levels.
+pub const MAX_DEPTH: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -258,8 +269,22 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(JsonError::new(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             Some(b) => Err(JsonError::new(format!(
                 "unexpected byte '{}' at {}",
@@ -748,6 +773,21 @@ mod tests {
     fn whitespace_is_tolerated() {
         let v = Json::parse(" { \"a\" : [ 1 , 2 ] } ").unwrap();
         assert_eq!(v.render(), r#"{"a":[1,2]}"#);
+    }
+
+    #[test]
+    fn nesting_is_limited_not_a_stack_overflow() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.msg.contains("nesting deeper than"), "{}", err.msg);
+        // Far past the limit, unbalanced, and through objects too.
+        assert!(Json::parse(&"[".repeat(50_000)).is_err());
+        let objs = format!("{}1{}", r#"{"a":"#.repeat(50_000), "}".repeat(50_000));
+        assert!(Json::parse(&objs)
+            .unwrap_err()
+            .msg
+            .contains("nesting deeper than"));
     }
 
     #[test]

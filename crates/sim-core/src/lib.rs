@@ -71,8 +71,8 @@ pub mod trace;
 pub mod vcd;
 
 pub use clock::{ClockDomainId, ClockDomainInfo};
-pub use component::{Component, ComponentId, Event, EventKey, NextWake};
-pub use engine::{EdgeCtx, Engine, EngineStrategy, RunResult, StopReason};
+pub use component::{Component, ComponentId, Event, EventKey, NextWake, WakeSignal};
+pub use engine::{EdgeCtx, Engine, EngineProfile, EngineStrategy, RunResult, StopReason};
 pub use fifo::{fifo_channel, Consumer, Fifo, Producer};
 pub use irq::{IrqBus, IrqLine};
 pub use rng::{SplitMix64, Xoshiro256StarStar};

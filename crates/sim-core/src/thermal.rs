@@ -27,7 +27,7 @@
 //!
 //! [`DieThermal`]: ../../pdr_timing/thermal/struct.DieThermal.html
 
-use crate::component::{Component, NextWake};
+use crate::component::{Component, NextWake, WakeSignal};
 use crate::engine::EdgeCtx;
 use crate::impl_json_struct;
 use crate::irq::IrqLine;
@@ -320,6 +320,11 @@ impl Component for ThermalRc {
         // The node integrates unconditionally: the only interesting edge is
         // the work edge, everything before it just decrements the countdown.
         NextWake::In(self.countdown)
+    }
+
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        // The integration countdown is the node's own state.
+        Some(Vec::new())
     }
 
     fn catch_up(&mut self, cycle: u64) {

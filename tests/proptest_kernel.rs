@@ -12,9 +12,11 @@ use pdr_testkit::{
 use pdr_lab::fabric::{ColumnKind, Geometry};
 use pdr_lab::sim::stats::{Log2Histogram, OnlineStats};
 use pdr_lab::sim::{
-    fifo_channel, Component, ComponentId, EdgeCtx, Engine, EngineStrategy, Event, Frequency,
-    NextWake, SimDuration,
+    fifo_channel, Component, ComponentId, Consumer, EdgeCtx, Engine, EngineStrategy, Event,
+    Frequency, NextWake, Producer, SimDuration, WakeSignal,
 };
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn cfg() -> Config {
     Config::with_cases(128).regressions(concat!(
@@ -400,5 +402,259 @@ property! {
         assert_eq!(tick.0, skip.0, "per-node observable state diverged");
         assert_eq!(tick.1, skip.1, "final simulated time diverged");
         assert_eq!(tick.2, skip.2, "dispatched-action accounting diverged");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Differential kernel property: back-pressured producer → consumer chains
+// ---------------------------------------------------------------------------
+
+/// Every push and pop of a chain, in dispatch order:
+/// `(time ps, stage, pushed?, item)`.
+type Tape = Rc<RefCell<Vec<(u64, u64, bool, u64)>>>;
+
+/// Why a stage's next edges would do nothing but count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Block {
+    /// Holding an item the full output cannot take: counts `out_stalls`.
+    Output,
+    /// Empty-handed with an empty input: counts `starves`.
+    Input,
+    /// A source with nothing left to send: counts nothing.
+    Done,
+}
+
+/// One stage of a bounded pipeline: pops an item from its input (or, as
+/// the head, makes one), holds it, and pushes it on to its output (or, as
+/// the tail, drops it). While blocked it declares `Idle` — when `honest` —
+/// and folds its stall counters in `catch_up` from the block it recorded
+/// at the end of its last edge, like the DMA engine. With `declare` it
+/// lists its FIFOs as wake signals; without, it is re-polled after every
+/// action.
+struct Stage {
+    name: String,
+    index: u64,
+    input: Option<Consumer<u64>>,
+    output: Option<Producer<u64>>,
+    /// Items a head stage still has to make.
+    budget: u64,
+    held: Option<u64>,
+    honest: bool,
+    declare: bool,
+    blocked: Option<Block>,
+    last_cycle: u64,
+    tape: Tape,
+    out_stalls: u64,
+    starves: u64,
+    moved: u64,
+}
+
+impl Stage {
+    fn blocked_now(&self) -> Option<Block> {
+        match self.held {
+            Some(_) => match &self.output {
+                Some(out) if !out.can_push() => Some(Block::Output),
+                _ => None,
+            },
+            None => match &self.input {
+                Some(input) if input.is_empty() => Some(Block::Input),
+                None if self.budget == 0 => Some(Block::Done),
+                _ => None,
+            },
+        }
+    }
+
+    fn record(&self, ctx: &EdgeCtx<'_>, pushed: bool, item: u64) {
+        let entry = (ctx.now().as_ps(), self.index, pushed, item);
+        self.tape.borrow_mut().push(entry);
+    }
+
+    fn counters(&self) -> (u64, u64, u64) {
+        (self.out_stalls, self.starves, self.moved)
+    }
+}
+
+impl Component for Stage {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn on_clock_edge(&mut self, ctx: &mut EdgeCtx<'_>) {
+        let cycle = ctx.cycle();
+        self.catch_up(cycle - 1);
+        self.last_cycle = cycle;
+        match self.held {
+            Some(item) => match &self.output {
+                Some(out) if !out.can_push() => self.out_stalls += 1,
+                Some(out) => {
+                    out.try_push(item).expect("checked can_push");
+                    self.record(ctx, true, item);
+                    self.held = None;
+                    self.moved += 1;
+                }
+                None => {
+                    self.record(ctx, true, item);
+                    self.held = None;
+                    self.moved += 1;
+                }
+            },
+            None => match &self.input {
+                Some(input) => match input.pop() {
+                    Some(item) => {
+                        self.record(ctx, false, item);
+                        self.held = Some(mix(item ^ self.index));
+                    }
+                    None => self.starves += 1,
+                },
+                None if self.budget > 0 => {
+                    self.budget -= 1;
+                    self.held = Some(mix(self.budget ^ cycle));
+                }
+                None => {}
+            },
+        }
+        self.blocked = self.blocked_now();
+    }
+
+    fn next_wake(&self, _now_cycle: u64) -> NextWake {
+        match self.blocked_now() {
+            Some(b) if self.honest && self.blocked == Some(b) => NextWake::Idle,
+            _ => NextWake::EveryCycle,
+        }
+    }
+
+    fn wake_signals(&self) -> Option<Vec<WakeSignal>> {
+        self.declare.then(|| {
+            let mut signals = Vec::new();
+            if let Some(input) = &self.input {
+                signals.push(input.wake_signal());
+            }
+            if let Some(out) = &self.output {
+                signals.push(out.wake_signal());
+            }
+            signals
+        })
+    }
+
+    fn catch_up(&mut self, cycle: u64) {
+        let k = cycle.saturating_sub(self.last_cycle);
+        self.last_cycle = cycle.max(self.last_cycle);
+        match self.blocked {
+            Some(Block::Output) => self.out_stalls += k,
+            Some(Block::Input) => self.starves += k,
+            Some(Block::Done) => {}
+            None => assert_eq!(k, 0, "{} folded an edge with work", self.name),
+        }
+    }
+}
+
+/// Stage parameters as drawn by the generators:
+/// `(domain pick, FIFO depth to the next stage, (honest, declares signals))`.
+type StageSpec = (usize, usize, (bool, bool));
+
+/// A chain's observables: per-stage `(out_stalls, starves, moved)`, the
+/// push/pop tape, final time and the dispatched-action count.
+type ChainRun = (Vec<(u64, u64, u64)>, Vec<(u64, u64, bool, u64)>, u64, u64);
+
+fn run_chain(
+    strategy: EngineStrategy,
+    freqs: &[u64],
+    stages: &[StageSpec],
+    items: u64,
+    segments: &[u64],
+    drain_between: bool,
+) -> ChainRun {
+    let mut e = Engine::with_strategy(strategy);
+    let domains: Vec<_> = freqs
+        .iter()
+        .enumerate()
+        .map(|(i, &hz)| e.add_clock_domain(&format!("d{i}"), Frequency::from_hz(hz)))
+        .collect();
+    let tape: Tape = Rc::default();
+    let mut input: Option<Consumer<u64>> = None;
+    let mut ids = Vec::new();
+    let mut fifos = Vec::new();
+    for (i, &(dom, depth, (honest, declare))) in stages.iter().enumerate() {
+        let output = (i + 1 < stages.len()).then(|| {
+            let (tx, rx) = fifo_channel::<u64>(&format!("f{i}"), depth);
+            fifos.push(tx.fifo().clone());
+            (tx, rx)
+        });
+        let (tx, next_input) = match output {
+            Some((tx, rx)) => (Some(tx), Some(rx)),
+            None => (None, None),
+        };
+        let stage = Stage {
+            name: format!("stage{i}"),
+            index: i as u64,
+            input: input.take(),
+            output: tx,
+            budget: if i == 0 { items } else { 0 },
+            held: None,
+            honest,
+            declare,
+            blocked: None,
+            last_cycle: 0,
+            tape: Rc::clone(&tape),
+            out_stalls: 0,
+            starves: 0,
+            moved: 0,
+        };
+        ids.push(e.add_component(stage, Some(domains[dom % domains.len()])));
+        input = next_input;
+    }
+    for &ns in segments {
+        e.run_for(SimDuration::from_nanos(ns));
+        // Harness traffic between runs changes a sleeper's block without
+        // any component running: a drained FIFO turns an output stall into
+        // free space, or a waiting consumer's input into nothing.
+        if drain_between {
+            if let Some(f) = fifos.last() {
+                f.clear();
+            }
+        }
+    }
+    let counters = ids
+        .iter()
+        .map(|&id| e.component::<Stage>(id).counters())
+        .collect();
+    let tape = tape.borrow().clone();
+    (counters, tape, e.now().as_ps(), e.actions_dispatched())
+}
+
+property! {
+    config = Config::with_cases(64).regressions(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/regressions.seeds"
+    ));
+
+    /// Back-pressure sleeping is exact: bounded chains whose stages sleep
+    /// while blocked and count their stalls in `catch_up` produce the tick
+    /// oracle's push/pop tape, stall counters and action count, for stages
+    /// that declare wake signals or not (or never sleep), on clocks that
+    /// share an edge grid (50/100/200 MHz) or are co-prime.
+    fn back_pressured_chains_equal_tick(
+        freqs in vec_of(select(vec![
+            50_000_000u64, 100_000_000, 200_000_000, 77_000_003, 133_333_337, 533_000_000,
+        ]), 1..4),
+        stages in vec_of(
+            tuple4(usizes(0..8), usizes(1..5), bools(), bools()),
+            2..6,
+        ),
+        items in u64s(1..80),
+        segments in vec_of(u64s(50..3_000), 1..5),
+        drain_between in bools(),
+    ) {
+        let stages: Vec<StageSpec> = stages
+            .into_iter()
+            .map(|(dom, depth, honest, declare)| (dom, depth, (honest, declare)))
+            .collect();
+        let tick = run_chain(EngineStrategy::Tick, &freqs, &stages, items, &segments, drain_between);
+        let skip = run_chain(
+            EngineStrategy::EventSkip, &freqs, &stages, items, &segments, drain_between,
+        );
+        assert_eq!(tick.1, skip.1, "push/pop tape diverged");
+        assert_eq!(tick.0, skip.0, "stall counters diverged");
+        assert_eq!((tick.2, tick.3), (skip.2, skip.3), "time or action count diverged");
     }
 }
