@@ -48,6 +48,9 @@ pub(crate) struct ClockDomain {
     pub(crate) edges_since_origin: u64,
     /// Next edge index to fire (relative to origin).
     pub(crate) next_edge: u64,
+    /// Time of edge `next_edge`, kept in step with the fields it derives
+    /// from by [`ClockDomain::advance`] and the re-programming methods.
+    next_edge_at: SimTime,
     /// Lifetime edge counter.
     pub(crate) total_edges: u64,
     /// Invalidates in-flight edge events after re-programming or gating.
@@ -59,22 +62,39 @@ pub(crate) struct ClockDomain {
 
 impl ClockDomain {
     pub(crate) fn new(name: String, frequency: Frequency) -> Self {
-        ClockDomain {
+        let mut d = ClockDomain {
             name,
             frequency,
             phase_origin: SimTime::ZERO,
             edges_since_origin: 0,
             next_edge: 1, // first edge one period after t=0, like a real MMCM
+            next_edge_at: SimTime::ZERO,
             total_edges: 0,
             generation: 0,
             gated: false,
             members: Vec::new(),
-        }
+        };
+        d.locate_next_edge();
+        d
     }
 
     /// Time of the next pending edge.
     pub(crate) fn next_edge_time(&self) -> SimTime {
-        self.phase_origin + self.frequency.edge_offset(self.next_edge)
+        self.next_edge_at
+    }
+
+    /// Recomputes the next edge's time after its index, the frequency or
+    /// the phase origin changed.
+    pub(crate) fn locate_next_edge(&mut self) {
+        self.next_edge_at = self.phase_origin + self.frequency.edge_offset(self.next_edge);
+    }
+
+    /// Accounts the next `k` edges as fired.
+    pub(crate) fn advance(&mut self, k: u64) {
+        self.edges_since_origin = self.next_edge + k - 1;
+        self.next_edge += k;
+        self.total_edges += k;
+        self.locate_next_edge();
     }
 
     /// Re-programs the frequency at instant `now`; the next edge fires one
@@ -85,6 +105,7 @@ impl ClockDomain {
         self.edges_since_origin = 0;
         self.next_edge = 1;
         self.generation += 1;
+        self.locate_next_edge();
     }
 
     pub(crate) fn set_gated(&mut self, now: SimTime, gated: bool) {
@@ -98,6 +119,7 @@ impl ClockDomain {
             self.phase_origin = now;
             self.edges_since_origin = 0;
             self.next_edge = 1;
+            self.locate_next_edge();
         }
     }
 

@@ -16,7 +16,7 @@ use std::collections::BinaryHeap;
 use crate::clock::{ClockDomain, ClockDomainId, ClockDomainInfo};
 use crate::component::{Component, ComponentId, Event, NextWake, WakeSignal};
 use crate::json::{FromJson, Json, JsonError, ToJson};
-use crate::time::{Frequency, SimDuration, SimTime, PS_PER_SEC};
+use crate::time::{Frequency, SimDuration, SimTime};
 use crate::trace::{Trace, TraceRecord};
 
 /// How the engine advances a clock domain between interesting edges.
@@ -738,8 +738,12 @@ impl Engine {
         };
 
         // The fold stops at the earliest cycle any member declared
-        // interesting, over every running domain, or at the deadline.
+        // interesting, over every running domain, or at the deadline; it is
+        // off as soon as that stop falls at or before the queue head.
         let mut t_stop = deadline;
+        if t_stop <= head {
+            return false;
+        }
         for (idx, d) in self.kernel.domains.iter().enumerate() {
             if d.gated {
                 continue;
@@ -757,11 +761,15 @@ impl Engine {
                 continue;
             }
             let delta = min_due.saturating_sub(d.total_edges + 1);
-            let t_due = d.phase_origin + d.frequency.edge_offset(d.next_edge + delta);
+            let t_due = if delta == 0 {
+                d.next_edge_time()
+            } else {
+                d.phase_origin + d.frequency.edge_offset(d.next_edge + delta)
+            };
+            if t_due <= head {
+                return false; // cannot skip past any queued entry
+            }
             t_stop = t_stop.min(t_due);
-        }
-        if t_stop <= head {
-            return false; // cannot skip past any queued entry
         }
 
         // Eligibility scan; also capture each domain's live entry.
@@ -800,10 +808,7 @@ impl Engine {
             let k_time = if horizon < d.phase_origin {
                 0
             } else {
-                let y = (horizon - d.phase_origin).as_ps();
-                let e_max =
-                    ((y as u128 + 1) * d.frequency.as_hz() as u128 - 1) / PS_PER_SEC as u128;
-                let e_max = u64::try_from(e_max).unwrap_or(u64::MAX);
+                let e_max = d.frequency.last_edge_within(horizon - d.phase_origin);
                 if e_max < n0 {
                     0
                 } else {
@@ -815,9 +820,7 @@ impl Engine {
                 continue; // entry at or past t_stop: stays queued verbatim
             }
             self.profile.edges_folded[idx] += k;
-            d.edges_since_origin = n0 + k - 1;
-            d.next_edge = n0 + k;
-            d.total_edges += k;
+            d.advance(k);
             let t_last = d.phase_origin + d.frequency.edge_offset(n0 + k - 1);
             // The instant the tick engine pushed this domain's surviving
             // entry: the pop of the edge before it.
@@ -909,29 +912,26 @@ impl Engine {
             None => deadline,
         };
         let n0 = d.next_edge; // origin-relative index of the popped edge
-        let k_time = if horizon < d.phase_origin {
-            0
+                              // Even when the horizon forbids folding past the popped edge, the
+                              // popped edge itself already won its pop ordering: a k = 1 "fold" is
+                              // exactly the tick engine's no-op dispatch of that edge.
+        d.advance(1);
+        let k = if k_wake == 1 || d.next_edge_time() > horizon {
+            1 // the common case: no further division needed
         } else {
-            let y = (horizon - d.phase_origin).as_ps();
-            // Largest edge index e with edge_offset(e) <= y, inverting
-            // edge_offset's truncating division in 128-bit arithmetic.
-            let e_max = ((y as u128 + 1) * d.frequency.as_hz() as u128 - 1) / PS_PER_SEC as u128;
-            let e_max = u64::try_from(e_max).unwrap_or(u64::MAX);
-            if e_max < n0 {
-                0
-            } else {
-                e_max - n0 + 1
-            }
+            // The next edge is inside the horizon, so `e_max > n0`.
+            let e_max = d.frequency.last_edge_within(horizon - d.phase_origin);
+            let k = k_wake.min(e_max - n0 + 1);
+            d.advance(k - 1);
+            k
         };
-        // Even when the horizon forbids folding past the popped edge, the
-        // popped edge itself already won its pop ordering: a k = 1 "fold" is
-        // exactly the tick engine's no-op dispatch of that edge.
-        let k = k_wake.min(k_time).max(1);
         self.profile.edges_folded[domain.index()] += k;
-        d.edges_since_origin = n0 + k - 1;
-        d.next_edge = n0 + k;
-        d.total_edges = c + k;
-        let new_now = d.phase_origin + d.frequency.edge_offset(n0 + k - 1);
+        let new_now = if k == 1 {
+            self.kernel.now // the popped edge's own instant
+        } else {
+            d.phase_origin + d.frequency.edge_offset(n0 + k - 1)
+        };
+        debug_assert_eq!(d.total_edges, c + k);
         debug_assert!(new_now >= self.kernel.now, "fold ran backwards");
         self.kernel.now = new_now;
         self.kernel.actions_dispatched += k;
@@ -1067,9 +1067,7 @@ impl Engine {
                 // ctx.cycle() observes the edge being processed.
                 let (members, cycle) = {
                     let d = &mut self.kernel.domains[domain.index()];
-                    d.edges_since_origin = d.next_edge;
-                    d.next_edge += 1;
-                    d.total_edges += 1;
+                    d.advance(1);
                     (std::mem::take(&mut d.members), d.total_edges)
                 };
                 // The event-skipping engine calls only the members with
@@ -1299,6 +1297,7 @@ impl Engine {
             d.total_edges = u64::from_json(&g("total_edges"))?;
             d.generation = u64::from_json(&g("generation"))?;
             d.gated = bool::from_json(&g("gated"))?;
+            d.locate_next_edge();
         }
         for (i, cv) in components.iter().enumerate() {
             self.slots[i].due_cycle = u64::from_json(cv.get("due_cycle").unwrap_or(&Json::Null))?;

@@ -345,9 +345,27 @@ impl Frequency {
     ///
     /// Edge 0 occurs at the origin itself.
     pub fn edge_offset(self, n: u64) -> SimDuration {
-        let ps = (n as u128 * PS_PER_SEC as u128) / self.0 as u128;
+        // 64-bit division while n·10¹² fits (the first ~1.8·10⁷ edges after
+        // an origin): the same quotient as the 128-bit path, far cheaper.
+        let ps = match n.checked_mul(PS_PER_SEC) {
+            Some(x) => (x / self.0) as u128,
+            None => (n as u128 * PS_PER_SEC as u128) / self.0 as u128,
+        };
         debug_assert!(ps <= u64::MAX as u128, "edge offset overflows u64 ps");
         SimDuration::from_ps(ps as u64)
+    }
+
+    /// The largest edge index `e` with `edge_offset(e) <= d`, inverting
+    /// [`Frequency::edge_offset`]'s truncating division exactly.
+    pub fn last_edge_within(self, d: SimDuration) -> u64 {
+        let y = d.as_ps();
+        match y.checked_add(1).and_then(|y1| y1.checked_mul(self.0)) {
+            Some(x) => (x - 1) / PS_PER_SEC,
+            None => {
+                let e = ((y as u128 + 1) * self.0 as u128 - 1) / PS_PER_SEC as u128;
+                u64::try_from(e).unwrap_or(u64::MAX)
+            }
+        }
     }
 
     /// Number of complete cycles of this frequency inside `d`.
@@ -440,6 +458,54 @@ mod tests {
         let exact = 1e12 * 1_000_000.0 / 280e6;
         let got = f.edge_offset(1_000_000).as_ps() as f64;
         assert!((got - exact).abs() <= 1.0, "got {got}, want {exact}");
+    }
+
+    #[test]
+    fn fast_edge_arithmetic_matches_128_bit_reference() {
+        let wide_offset = |f: Frequency, n: u64| (n as u128 * PS_PER_SEC as u128) / f.0 as u128;
+        let wide_last = |f: Frequency, y: u64| {
+            let e = ((y as u128 + 1) * f.0 as u128 - 1) / PS_PER_SEC as u128;
+            u64::try_from(e).unwrap_or(u64::MAX)
+        };
+        let limit = u64::MAX / PS_PER_SEC; // last n on the 64-bit path
+        for hz in [
+            1,
+            7,
+            100_000_000,
+            280_000_000,
+            533_000_000,
+            77_000_003,
+            999_999_999_999,
+        ] {
+            let f = Frequency::from_hz(hz);
+            for n in [0, 1, 2, 1_000_003, limit - 1, limit, limit + 1, 1 << 40] {
+                if wide_offset(f, n) <= u64::MAX as u128 {
+                    assert_eq!(
+                        f.edge_offset(n).as_ps() as u128,
+                        wide_offset(f, n),
+                        "{hz} Hz, n={n}"
+                    );
+                }
+            }
+            for y in [
+                0,
+                1,
+                9_999,
+                10_000,
+                3_571_428,
+                1 << 40,
+                u64::MAX / 2,
+                u64::MAX,
+            ] {
+                let e = f.last_edge_within(SimDuration::from_ps(y));
+                assert_eq!(e, wide_last(f, y), "{hz} Hz, y={y}");
+                if let Some(next) = e.checked_add(1) {
+                    if (next as u128 * PS_PER_SEC as u128) / (hz as u128) <= u64::MAX as u128 {
+                        assert!(f.edge_offset(e).as_ps() <= y && f.edge_offset(next).as_ps() > y);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
