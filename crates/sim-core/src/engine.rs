@@ -1011,8 +1011,6 @@ impl Engine {
             let now_cycle = self.kernel.domains[sd.index()].total_edges;
             if self.slots[idx].due_cycle > now_cycle + 1 {
                 self.poll(idx, now_cycle, false);
-            } else {
-                self.slots[idx].record_inputs();
             }
         }
     }
