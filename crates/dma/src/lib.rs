@@ -257,8 +257,8 @@ impl AxiDma {
     }
 
     /// How the next edge would be blocked, given the current inputs: `None`
-    /// when it has work (a burst to issue, a beat to stream) or the engine
-    /// is not running and unstalled.
+    /// when the engine has work (a burst to issue, a beat to stream), is
+    /// stalled, or is not running.
     fn blocked_now(&self) -> Option<Blocked> {
         if self.stall_cycles > 0 || self.state != State::Running || self.bytes_to_stream == 0 {
             return None;

@@ -159,8 +159,9 @@ pub trait Component: Any {
     /// reads (FIFO endpoints, register files), or `None` to be re-polled
     /// after every dispatched action while asleep.
     ///
-    /// Read by the event-skipping engine at registration and again after
-    /// any [`Engine::component_mut`](crate::Engine::component_mut) access.
+    /// Read by the event-skipping engine when the first run after
+    /// registration starts, and again at the start of the run after any
+    /// [`Engine::component_mut`](crate::Engine::component_mut) access.
     /// While the component sleeps, the engine re-polls it only when one of
     /// these counters moved, and skips it on edges where its wake is not
     /// due. Listing too few signals therefore diverges from the tick engine;

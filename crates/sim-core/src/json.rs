@@ -214,9 +214,9 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
-/// deepest document the workspace writes (a system snapshot) nests about a
-/// dozen levels.
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. A
+/// fault-campaign checkpoint, which embeds a whole-system snapshot, nests
+/// 10 levels.
 pub const MAX_DEPTH: usize = 256;
 
 struct Parser<'a> {
